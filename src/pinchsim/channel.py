@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frame import FrameDesign
-from .geometry import Point3, Scenario, distance, feed_position, pa_positions
+from .geometry import Point3, Scenario, distance, distance_matrix, feed_position, pa_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -52,6 +52,37 @@ def path_loss_constant(carrier_freq: float) -> float:
     return (wavelength / (4.0 * math.pi)) ** 2
 
 
+def _complex(real, imag) -> np.ndarray:
+    """real + j imag, keeping the sign of zero parts (unlike real + 1j * imag)."""
+    out = np.array(real, dtype=complex)
+    out.imag = imag
+    return out
+
+
+def _rotation(path, wavelength) -> np.ndarray:
+    """exp(-j 2 pi path / wavelength): a full turn per wavelength of path."""
+    phase = -2.0 * math.pi * path / wavelength
+    return _complex(np.cos(phase), np.sin(phase))
+
+
+def _link_gains(dist, los, carrier_freq: float) -> np.ndarray:
+    """link_gain over arrays of link distances and LoS indicators."""
+    if np.any(dist == 0.0):
+        raise ValueError("zero-distance link is non-physical")
+    amp = math.sqrt(path_loss_constant(carrier_freq)) / dist
+    return np.where(los == 0, 0j, amp * _rotation(dist, SPEED_OF_LIGHT / carrier_freq))
+
+
+def _waveguide_phases(feed_dist, carrier_freq: float, refractive_index: float) -> np.ndarray:
+    """waveguide_phase over an array of feed-to-PA distances."""
+    return _rotation(feed_dist, SPEED_OF_LIGHT / carrier_freq / refractive_index)
+
+
+def _composite_delays(dist, feed_dist, refractive_index: float) -> np.ndarray:
+    """composite_delay over arrays of PA-to-user and feed-to-PA distances."""
+    return dist / SPEED_OF_LIGHT + refractive_index * feed_dist / SPEED_OF_LIGHT
+
+
 def link_gain(user: Point3, pa: Point3, alpha: int, carrier_freq: float) -> complex:
     """Free-space complex gain of one PA-to-user link.
 
@@ -59,15 +90,7 @@ def link_gain(user: Point3, pa: Point3, alpha: int, carrier_freq: float) -> comp
     Magnitude is sqrt(path_loss_constant) / distance, phase advances by a
     full turn per free-space wavelength of path.
     """
-    dist = distance(user, pa)
-    if dist == 0.0:
-        raise ValueError("zero-distance link is non-physical")
-    if alpha == 0:
-        return 0j
-    wavelength = SPEED_OF_LIGHT / carrier_freq
-    amp = math.sqrt(path_loss_constant(carrier_freq)) / dist
-    phase = -2.0 * math.pi * dist / wavelength
-    return amp * complex(math.cos(phase), math.sin(phase))
+    return complex(_link_gains(distance(user, pa), alpha, carrier_freq))
 
 
 def waveguide_phase(
@@ -78,9 +101,7 @@ def waveguide_phase(
     Guided wavelength is the free-space wavelength divided by the effective
     refractive index of the waveguide.
     """
-    guided_wavelength = SPEED_OF_LIGHT / carrier_freq / refractive_index
-    phase = -2.0 * math.pi * distance(feed, pa) / guided_wavelength
-    return complex(math.cos(phase), math.sin(phase))
+    return complex(_waveguide_phases(distance(feed, pa), carrier_freq, refractive_index))
 
 
 def composite_delay(
@@ -91,9 +112,7 @@ def composite_delay(
     Guided propagation is slowed by the refractive index, so a guided meter
     costs refractive_index / c seconds.
     """
-    free = distance(user, pa) / SPEED_OF_LIGHT
-    guided = refractive_index * distance(feed, pa) / SPEED_OF_LIGHT
-    return free + guided
+    return float(_composite_delays(distance(user, pa), distance(feed, pa), refractive_index))
 
 
 @dataclass
@@ -133,15 +152,17 @@ def build_realization(
     if los.shape != (m_users, n_pas):
         raise ValueError(f"los shape {los.shape} does not match ({m_users}, {n_pas})")
 
-    gains = np.zeros((m_users, n_pas), dtype=complex)
-    delays = np.zeros((m_users, n_pas))
-    for n, pa in enumerate(pas):
-        guided = waveguide_phase(pa, feed, scenario.carrier_freq, scenario.refractive_index)
-        for m, user in enumerate(users):
-            gains[m, n] = guided * link_gain(
-                user, pa, int(los[m, n]), scenario.carrier_freq
-            )
-            delays[m, n] = composite_delay(user, pa, feed, scenario.refractive_index)
+    dist = distance_matrix(users, pas)
+    feed_dist = distance_matrix([feed], pas)[0]
+    guided = _waveguide_phases(feed_dist, scenario.carrier_freq, scenario.refractive_index)
+    free = _link_gains(dist, los, scenario.carrier_freq)
+    # guided * free, written out so that each part rounds as in CPython's
+    # complex multiply; numpy's may fuse the multiply-adds.
+    gains = _complex(
+        guided.real * free.real - guided.imag * free.imag,
+        guided.real * free.imag + guided.imag * free.real,
+    )
+    delays = _composite_delays(dist, feed_dist, scenario.refractive_index)
     return ChannelRealization(users, pas, feed, np.asarray(los), gains, delays)
 
 

@@ -80,42 +80,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep_n(args) -> int:
+def _cmd_sweep(args) -> int:
+    """sweep-n and sweep-power: sweep args.axis, with the other axis fixed by
+    --tx-power-dbm or --pa-count."""
     config = _base_config(args)
-    overrides = {"axis": "pa_count"}
-    if args.n_values:
-        overrides["axis_values"] = args.n_values
-    elif config.axis != "pa_count":
-        overrides["axis_values"] = ExperimentConfig().axis_values
-    if args.tx_power_dbm is not None:
-        overrides["tx_power_dbm"] = args.tx_power_dbm
-    _run_and_emit(replace(config, **overrides), args)
-    return 0
-
-
-def _cmd_sweep_power(args) -> int:
-    config = _base_config(args)
-    overrides = {"axis": "tx_power"}
-    if args.power_values:
-        overrides["axis_values"] = args.power_values
-    elif config.axis != "tx_power":
-        overrides["axis_values"] = (0.0, 5.0, 10.0, 15.0, 20.0)
-    if args.pa_count is not None:
-        overrides["pa_count"] = args.pa_count
+    overrides = {"axis": args.axis}
+    if args.axis_values:
+        overrides["axis_values"] = args.axis_values
+    elif config.axis != args.axis:
+        overrides["axis_values"] = args.default_axis_values
+    for fixed in ("tx_power_dbm", "pa_count"):
+        if getattr(args, fixed, None) is not None:
+            overrides[fixed] = getattr(args, fixed)
     _run_and_emit(replace(config, **overrides), args)
     return 0
 
 
 def _cmd_trace_drop(args) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    point = replace(
-        config,
-        axis="pa_count",
-        axis_values=(args.n_pas,),
-        tx_power_dbm=(
-            args.tx_power_dbm if args.tx_power_dbm is not None else config.tx_power_dbm
-        ),
-    )
+    if args.tx_power_dbm is not None:
+        config = replace(config, tx_power_dbm=args.tx_power_dbm)
+    point = replace(config, axis="pa_count", axis_values=(args.n_pas,))
     scenario = scenario_for(point, args.n_pas, args.n_users, args.beta)
     trace = trace_drop(scenario, args.seed, args.index)
     text = json.dumps(trace, indent=2)
@@ -142,18 +127,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_n = sub.add_parser("sweep-n", help="minimum rate versus PA count")
     _add_common(p_n)
     _add_sweep_flags(p_n)
-    p_n.add_argument("--n-values", type=_int_list, help="PA counts, e.g. 5,10,15")
+    p_n.add_argument(
+        "--n-values", dest="axis_values", metavar="N_VALUES", type=_int_list,
+        help="PA counts, e.g. 5,10,15",
+    )
     p_n.add_argument("--tx-power-dbm", type=float, help="fixed transmit power, dBm")
-    p_n.set_defaults(func=_cmd_sweep_n)
+    p_n.set_defaults(
+        func=_cmd_sweep, axis="pa_count", default_axis_values=ExperimentConfig().axis_values
+    )
 
     p_p = sub.add_parser("sweep-power", help="minimum rate versus transmit power")
     _add_common(p_p)
     _add_sweep_flags(p_p)
     p_p.add_argument(
-        "--power-values", type=_float_list, help="transmit powers in dBm, e.g. 0,10,20"
+        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_float_list,
+        help="transmit powers in dBm, e.g. 0,10,20",
     )
     p_p.add_argument("--pa-count", type=int, help="fixed number of PAs")
-    p_p.set_defaults(func=_cmd_sweep_power)
+    p_p.set_defaults(
+        func=_cmd_sweep, axis="tx_power", default_axis_values=(0.0, 5.0, 10.0, 15.0, 20.0)
+    )
 
     p_t = sub.add_parser("trace-drop", help="dump one drop as JSON")
     p_t.add_argument("--seed", type=int, required=True, help="master seed")

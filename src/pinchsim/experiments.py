@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -100,6 +101,18 @@ class ExperimentConfig:
             raise ValueError("axis_values must be sorted ascending")
         if not self.m_values or not self.beta_values:
             raise ValueError("m_values and beta_values must be nonempty")
+        if any(m < 1 for m in self.m_values):
+            raise ValueError(f"m_values must be >= 1, got {self.m_values}")
+        if any(beta < 0 for beta in self.beta_values):
+            raise ValueError(f"beta_values must be >= 0, got {self.beta_values}")
+        if self.axis == "pa_count" and not all(
+            v >= 1 and float(v).is_integer() for v in self.axis_values
+        ):
+            raise ValueError(f"PA counts must be integers >= 1, got {self.axis_values}")
+        for name in ("axis_values", "m_values", "beta_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate entries: {values}")
 
 
 def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float) -> Scenario:
@@ -136,12 +149,10 @@ def drop_rngs(master_seed: int, drop_index: int):
     )
 
 
-def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
-    """Simulate one channel drop and return the three schemes' minimum rates.
-
-    Returns (ofdma, single_pa, sc_fde) in bits/s. A drop where every scheme
-    lands at zero (total blockage) is a valid data point.
-    """
+def _simulate_drop(scenario: Scenario, master_seed: int, drop_index: int):
+    """The drop pipeline behind run_drop and trace_drop. Returns run_drop's
+    (ofdma, single_pa, sc_fde) minimum rates and the stage outputs
+    (realization, frame, grid, allocation, center_alpha)."""
     rng_users, rng_block, rng_center = drop_rngs(master_seed, drop_index)
     users = sample_users(scenario, rng_users)
     pas = pa_positions(scenario)
@@ -157,12 +168,25 @@ def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
     single_pa, sc_fde = baseline_min_rates(
         realization, grid, frame, scenario, center_alpha
     )
-    return min_rate(allocation), single_pa, sc_fde
+    rates = (min_rate(allocation), single_pa, sc_fde)
+    return rates, (realization, frame, grid, allocation, center_alpha)
+
+
+def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
+    """Simulate one channel drop and return the three schemes' minimum rates.
+
+    Returns (ofdma, single_pa, sc_fde) in bits/s. A drop where every scheme
+    lands at zero (total blockage) is a valid data point.
+    """
+    return _simulate_drop(scenario, master_seed, drop_index)[0]
 
 
 @dataclass
 class SweepPoint:
-    """Aggregated minimum rate of one scheme at one grid point."""
+    """Aggregated minimum rate of one scheme at one grid point.
+
+    The fields, in this order, are the first columns of the sweep CSV.
+    """
 
     scheme: str
     axis_name: str
@@ -193,17 +217,11 @@ class SweepResult:
 
 def _drop_matrix(scenario: Scenario, master_seed: int, drops: int, threads: int):
     """(drops, 3) matrix of per-drop scheme minima, ordered by drop index."""
-    results = np.zeros((drops, len(SCHEMES)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, triple in enumerate(
-                pool.map(lambda d: run_drop(scenario, master_seed, d), range(drops))
-            ):
-                results[i] = triple
-    else:
-        for d in range(drops):
-            results[d] = run_drop(scenario, master_seed, d)
-    return results
+    drop = partial(run_drop, scenario, master_seed)
+    if threads <= 1:
+        return np.array([drop(d) for d in range(drops)])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(drop, range(drops))))
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
@@ -227,22 +245,19 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
 
     result = SweepResult(master_seed=config.master_seed)
     for s, scheme in enumerate(SCHEMES):
-        for n_users in config.m_values:
-            for beta in config.beta_values:
-                for axis_value in config.axis_values:
-                    means, stderrs = stats[(n_users, beta, axis_value)]
-                    result.points.append(
-                        SweepPoint(
-                            scheme=scheme,
-                            axis_name=config.axis,
-                            axis_value=axis_value,
-                            n_users=n_users,
-                            beta=beta,
-                            mean_min_rate=float(means[s]),
-                            stderr=float(stderrs[s]),
-                            drops=config.drops,
-                        )
-                    )
+        for (n_users, beta, axis_value), (means, stderrs) in stats.items():
+            result.points.append(
+                SweepPoint(
+                    scheme=scheme,
+                    axis_name=config.axis,
+                    axis_value=axis_value,
+                    n_users=n_users,
+                    beta=beta,
+                    mean_min_rate=float(means[s]),
+                    stderr=float(stderrs[s]),
+                    drops=config.drops,
+                )
+            )
     return result
 
 
@@ -251,10 +266,17 @@ _CSV_HEADER = (
 )
 
 
+def _rows(result: SweepResult) -> list[dict]:
+    """One dict per sweep point, keyed by the CSV columns: SweepPoint's
+    fields in declaration order, then the master seed."""
+    columns = _CSV_HEADER.split(",")
+    return [dict(zip(columns, (*astuple(p), result.master_seed))) for p in result.points]
+
+
 def _fmt(value) -> str:
     """Numbers formatted so that parsing the text recovers them exactly."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
     return repr(float(value))
 
 
@@ -264,23 +286,7 @@ def emit_csv(result: SweepResult, path) -> None:
     Decimal points, no thousands separators, shortest round-trip float
     representation, trailing newline.
     """
-    lines = [_CSV_HEADER]
-    for p in result.points:
-        lines.append(
-            ",".join(
-                [
-                    p.scheme,
-                    p.axis_name,
-                    _fmt(p.axis_value),
-                    str(p.n_users),
-                    _fmt(p.beta),
-                    _fmt(p.mean_min_rate),
-                    _fmt(p.stderr),
-                    str(p.drops),
-                    str(result.master_seed),
-                ]
-            )
-        )
+    lines = [_CSV_HEADER] + [",".join(map(_fmt, row.values())) for row in _rows(result)]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -290,62 +296,31 @@ def emit_csv(result: SweepResult, path) -> None:
 
 def emit_json(result: SweepResult, path) -> None:
     """JSON mirror of the CSV rows (same fields)."""
-    rows = [
-        {
-            "scheme": p.scheme,
-            "axis_name": p.axis_name,
-            "axis_value": p.axis_value,
-            "M": p.n_users,
-            "beta": p.beta,
-            "mean_min_rate_bps": p.mean_min_rate,
-            "stderr_bps": p.stderr,
-            "drops": p.drops,
-            "master_seed": result.master_seed,
-        }
-        for p in result.points
-    ]
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump(_rows(result), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep JSON to {path}: {exc}") from exc
 
 
-# Config files are flat key = value text; keys mirror ExperimentConfig.
-_INT_KEYS = {"drops", "master_seed", "pa_count"}
-_FLOAT_KEYS = {
-    "room_length",
-    "room_width",
-    "waveguide_height",
-    "carrier_freq",
-    "refractive_index",
-    "bandwidth",
-    "noise_dbm",
-    "tx_power_dbm",
-}
-_LIST_KEYS = {"axis_values", "m_values", "beta_values"}
+# Config files are flat key = value text; keys and value types mirror
+# ExperimentConfig's fields and their defaults.
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, text: str):
-    if key == "axis":
-        return text
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _LIST_KEYS:
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        if key == "m_values":
-            return tuple(int(t) for t in items)
-        if key == "beta_values":
-            return tuple(float(t) for t in items)
-        # axis_values: integers for PA counts, floats for dBm levels
-        values = tuple(float(t) for t in items)
-        if all(v == int(v) for v in values):
-            return tuple(int(v) for v in values)
-        return values
-    raise ValueError(f"unknown config key: {key!r}")
+    default = _DEFAULTS[key]
+    if not isinstance(default, tuple):
+        return type(default)(text)
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if key != "axis_values":
+        return tuple(type(default[0])(t) for t in items)
+    # axis_values: integers for PA counts, floats for dBm levels
+    values = tuple(float(t) for t in items)
+    if all(v.is_integer() for v in values):
+        return tuple(int(v) for v in values)
+    return values
 
 
 def load_config(path) -> ExperimentConfig:
@@ -354,7 +329,6 @@ def load_config(path) -> ExperimentConfig:
     Blank lines and '#' comments are ignored; unknown keys are errors so a
     typo cannot silently fall back to a default.
     """
-    known = {f.name for f in fields(ExperimentConfig)}
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -365,50 +339,33 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key: {key!r}")
-            overrides[key] = _parse_value(key, value.strip())
-    return ExperimentConfig(**overrides)
+            try:
+                overrides[key] = _parse_value(key, value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    try:
+        return ExperimentConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
-    """Re-run one drop and dump its internals as plain JSON-ready data."""
-    rng_users, rng_block, rng_center = drop_rngs(master_seed, drop_index)
-    users = sample_users(scenario, rng_users)
-    pas = pa_positions(scenario)
-    los = sample_blockage(scenario, users, pas, rng_block)
-    realization = build_realization(scenario, users, los)
-    frame = design_frame(scenario, realization)
-    grid = channel_grid(realization, frame)
-    allocation = allocate(grid, frame, scenario)
-    center_alpha = sample_blockage(
-        scenario, users, [center_pa_position(scenario)], rng_center
-    )[:, 0]
-    single_pa, sc_fde = baseline_min_rates(
-        realization, grid, frame, scenario, center_alpha
+    """Re-run one drop through run_drop's pipeline and dump its internals as
+    plain JSON-ready data."""
+    (ofdma, single_pa, sc_fde), (realization, frame, grid, allocation, center_alpha) = (
+        _simulate_drop(scenario, master_seed, drop_index)
     )
-
     magnitudes = np.abs(grid.h)
     return {
         "master_seed": master_seed,
         "drop_index": drop_index,
-        "scenario": {
-            "n_pas": scenario.n_pas,
-            "n_users": scenario.n_users,
-            "room_length": scenario.room_length,
-            "room_width": scenario.room_width,
-            "waveguide_height": scenario.waveguide_height,
-            "carrier_freq": scenario.carrier_freq,
-            "refractive_index": scenario.refractive_index,
-            "blockage_density": scenario.blockage_density,
-            "bandwidth": scenario.bandwidth,
-            "tx_power": scenario.tx_power,
-            "noise_power": scenario.noise_power,
-        },
-        "users": [[u.x, u.y, u.z] for u in users],
-        "pas": [[p.x, p.y, p.z] for p in pas],
+        "scenario": asdict(scenario),
+        "users": [[u.x, u.y, u.z] for u in realization.users],
+        "pas": [[p.x, p.y, p.z] for p in realization.pas],
         "feed": [realization.feed.x, realization.feed.y, realization.feed.z],
-        "los": los.tolist(),
+        "los": realization.los.tolist(),
         "taps": {
             "gain_real": realization.tap_gains.real.tolist(),
             "gain_imag": realization.tap_gains.imag.tolist(),
@@ -440,7 +397,7 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
             "power": allocation.power.tolist(),
             "rates_bps": allocation.rates.tolist(),
             "unusable_budget": allocation.unusable_budget.tolist(),
-            "min_rate_bps": min_rate(allocation),
+            "min_rate_bps": ofdma,
         },
         "baseline_min_rates_bps": {"single_pa": single_pa, "sc_fde": sc_fde},
         "center_pa_alpha": center_alpha.tolist(),

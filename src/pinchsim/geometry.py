@@ -19,6 +19,7 @@ __all__ = [
     "Point3",
     "Scenario",
     "distance",
+    "distance_matrix",
     "pa_positions",
     "feed_position",
     "center_pa_position",
@@ -41,13 +42,22 @@ class Point3:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError(f"non-finite coordinates: ({self.x}, {self.y}, {self.z})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+
+def _coords(points: list[Point3]) -> np.ndarray:
+    return np.array([(p.x, p.y, p.z) for p in points]).reshape(-1, 3)
+
+
+def distance_matrix(a: list[Point3], b: list[Point3]) -> np.ndarray:
+    """Euclidean distance from every point of a to every point of b, shape
+    (len(a), len(b)). Squares are added x, y, z in that order, so every entry
+    has the same bits whatever the shape of the call."""
+    sq = (_coords(a)[:, None, :] - _coords(b)[None, :, :]) ** 2
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance between two points."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    return float(distance_matrix([a], [b])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -158,18 +168,16 @@ def sample_users(scenario: Scenario, rng: np.random.Generator) -> list[Point3]:
 
 def los_probability(user: Point3, pa: Point3, blockage_density: float) -> float:
     """Probability of an unobstructed LoS link: exp(-beta * distance)."""
-    if blockage_density < 0:
-        raise ValueError("blockage_density must be >= 0")
-    return math.exp(-blockage_density * distance(user, pa))
+    return float(los_probability_matrix([user], [pa], blockage_density)[0, 0])
 
 
 def los_probability_matrix(
     users: list[Point3], pas: list[Point3], blockage_density: float
 ) -> np.ndarray:
     """LoS probabilities for every user/PA pair, shape (M, N)."""
-    return np.array(
-        [[los_probability(u, p, blockage_density) for p in pas] for u in users]
-    )
+    if blockage_density < 0:
+        raise ValueError("blockage_density must be >= 0")
+    return np.exp(-blockage_density * distance_matrix(users, pas))
 
 
 def sample_blockage(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim.channel import (
     SPEED_OF_LIGHT,
@@ -20,6 +22,8 @@ from pinchsim.geometry import (
     Point3,
     Scenario,
     feed_position,
+    los_probability,
+    los_probability_matrix,
     pa_positions,
     sample_users,
 )
@@ -181,6 +185,48 @@ class TestBuildRealization:
         users = sample_users(sc, np.random.default_rng(5))
         with pytest.raises(ValueError):
             build_realization(sc, users, np.ones((3, 3), dtype=np.int8))
+
+
+def same_bits(a: complex, b: complex) -> bool:
+    """Equal, and equal in the sign of every part, zeros included."""
+    return a == b and all(
+        math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+rooms = st.builds(
+    Scenario,
+    n_pas=st.integers(1, 12),
+    n_users=st.integers(1, 5),
+    room_length=st.floats(1.0, 100.0),
+    room_width=st.floats(1.0, 50.0),
+    waveguide_height=st.floats(0.5, 10.0),
+    carrier_freq=st.floats(1e9, 1e11),
+    refractive_index=st.floats(1.0, 3.0),
+    blockage_density=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sc=rooms, seed=st.integers(0, 2**32 - 1))
+def test_array_formulas_equal_scalar_calls_exactly(sc, seed):
+    """Every entry of the (M, N) arrays has the bits of the per-link scalar
+    call, including the signs of the zero parts of blocked taps."""
+    rng = np.random.default_rng(seed)
+    users = sample_users(sc, rng)
+    pas, feed = pa_positions(sc), feed_position(sc)
+    los = rng.integers(0, 2, size=(len(users), len(pas))).astype(np.int8)
+    probs = los_probability_matrix(users, pas, sc.blockage_density)
+    r = build_realization(sc, users, los)
+    for m, u in enumerate(users):
+        for n, pa in enumerate(pas):
+            assert probs[m, n] == los_probability(u, pa, sc.blockage_density)
+            expected = waveguide_phase(
+                pa, feed, sc.carrier_freq, sc.refractive_index
+            ) * link_gain(u, pa, int(los[m, n]), sc.carrier_freq)
+            assert same_bits(complex(r.tap_gains[m, n]), expected)
+            assert r.tap_delays[m, n] == composite_delay(u, pa, feed, sc.refractive_index)
 
 
 class TestFrequencyResponse:

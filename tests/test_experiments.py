@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, common random numbers, CSV/JSON output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ class TestExperimentConfig:
             ExperimentConfig(axis_values=())
         with pytest.raises(ValueError):
             ExperimentConfig(m_values=())
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(m_values=(0, 2)), "m_values must be >= 1"),
+            (dict(beta_values=(-0.05,)), "beta_values must be >= 0"),
+            (dict(axis_values=(0, 5)), "PA counts must be integers >= 1"),
+            (dict(axis_values=(2.5, 5)), "PA counts must be integers >= 1"),
+            (dict(axis_values=(5, 5)), "axis_values has duplicate"),
+            (dict(axis="tx_power", axis_values=(0.0, 0.0)), "axis_values has duplicate"),
+            (dict(m_values=(2, 2)), "m_values has duplicate"),
+            (dict(beta_values=(0.05, 0.05)), "beta_values has duplicate"),
+        ],
+    )
+    def test_rejects_invalid_values(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kw)
 
 
 class TestScenarioFor:
@@ -289,6 +307,20 @@ class TestLoadConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("drops 25\n")
         with pytest.raises(ValueError, match="key = value"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("drops = 2.5", ":2: bad value for drops: invalid literal"),
+            ("m_values = 2, x", ":2: bad value for m_values: invalid literal"),
+            ("m_values = 0", ": m_values must be >= 1"),
+        ],
+    )
+    def test_bad_value_names_the_file(self, tmp_path, line, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"axis = pa_count\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(str(path) + message)):
             load_config(path)
 
     def test_float_axis_values_for_power(self, tmp_path):
