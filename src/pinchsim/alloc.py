@@ -6,7 +6,9 @@ with a two-stage heuristic:
   stage 1  greedy subcarrier assignment: repeatedly give the currently
            worst-off user the unassigned tone on which its channel advantage
            over the best other user is largest, tracking provisional rates
-           under an equal power split across all tones;
+           under an equal power split across all tones. Each user's tone
+           preference order is static, so it is sorted once and the stage
+           costs O(K log K + K M);
   stage 2  with the assignment fixed, each user water-fills an equal share
            of the power budget over its own tones.
 
@@ -84,16 +86,19 @@ def user_rate(
 
 def _channel_advantage(gains_sq: np.ndarray) -> np.ndarray:
     """Ratio of each user's tone gain to the best other user's, +inf when
-    no other user has any gain on the tone."""
-    m_users = gains_sq.shape[0]
-    gamma = np.empty_like(gains_sq)
-    for m in range(m_users):
-        others = np.delete(gains_sq, m, axis=0)
-        denom = others.max(axis=0) if others.size else np.zeros(gains_sq.shape[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = gains_sq[m] / denom
-        row[denom == 0.0] = np.inf
-        gamma[m] = row
+    no other user has any gain on the tone.
+
+    The best other gain is the column maximum, except on the row holding it,
+    where it is the largest of the rest; zeroing that one entry gives the
+    rest, since gains are >= 0 (a tied row still sees the maximum).
+    """
+    best = gains_sq.max(axis=0)
+    others = gains_sq.copy()
+    others[gains_sq.argmax(axis=0), np.arange(gains_sq.shape[1])] = 0.0
+    denom = np.where(gains_sq == best, others.max(axis=0), best)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = gains_sq / denom
+    gamma[denom == 0.0] = np.inf
     return gamma
 
 
@@ -120,43 +125,50 @@ def greedy_assign(
     skipped, so a fully blocked user never absorbs tones at zero benefit; if
     every user ends up skipped, the leftover tones go to user 0 (all rates
     are zero then anyway, but every tone must have exactly one owner).
+
+    That tone key never changes during the run; only which tones are taken
+    does. So each user sorts its tones once and walks a cursor past taken
+    ones, and the cost is O(K log K + K M) instead of a rescan per step.
     """
     m_users, k_tones = gains_sq.shape
     gamma = _channel_advantage(gains_sq)
-    assignment = np.zeros((m_users, k_tones), dtype=np.int8)
-    unassigned = np.ones(k_tones, dtype=bool)
-    provisional = np.zeros(m_users)
-    active = np.ones(m_users, dtype=bool)
     # Equal-power provisional SNR per unit |H|^2: P_t / (N0 delta_f N K)
     snr_slope = scenario.tx_power / (
         scenario.noise_psd * frame.subcarrier_spacing * scenario.n_pas * k_tones
     )
     eff_df = frame.cp_efficiency * frame.subcarrier_spacing
+    increments = eff_df * np.log2(1.0 + gains_sq * snr_slope)
+    tones = np.arange(k_tones)
+    # Tone order per user: advantage desc, own gain desc, index asc.
+    prefs = [
+        memoryview(np.lexsort((tones, -gains_sq[m], -gamma[m]))) for m in range(m_users)
+    ]
+    usable_left = (gains_sq > 0.0).sum(axis=1).tolist()
+    cursor = [0] * m_users
+    provisional = [0.0] * m_users
+    active = list(range(m_users))
+    taken = bytearray(k_tones)
+    owner = np.zeros(k_tones, dtype=np.intp)  # leftover tones stay with user 0
 
     remaining = k_tones
-    while remaining > 0:
-        if not active.any():
-            assignment[0, unassigned] = 1
-            break
-        masked = np.where(active, provisional, np.inf)
-        m_star = int(np.argmin(masked))
-        candidates = np.flatnonzero(unassigned)
-        own = gains_sq[m_star, candidates]
-        if not np.any(own > 0.0):
-            active[m_star] = False
+    while remaining and active:
+        m_star = min(active, key=provisional.__getitem__)
+        if not usable_left[m_star]:
+            active.remove(m_star)
             continue
-        advantage = gamma[m_star, candidates]
-        ties = candidates[advantage == advantage.max()]
-        if ties.size > 1:
-            own_ties = gains_sq[m_star, ties]
-            ties = ties[own_ties == own_ties.max()]
-        k_star = int(ties.min())
-        assignment[m_star, k_star] = 1
-        unassigned[k_star] = False
+        pref, pos = prefs[m_star], cursor[m_star]
+        while taken[pref[pos]]:
+            pos += 1
+        k_star = pref[pos]
+        cursor[m_star] = pos + 1
+        taken[k_star] = 1
+        owner[k_star] = m_star
         remaining -= 1
-        provisional[m_star] += eff_df * np.log2(
-            1.0 + gains_sq[m_star, k_star] * snr_slope
-        )
+        provisional[m_star] += increments.item(m_star, k_star)
+        for m in active:
+            usable_left[m] -= gains_sq.item(m, k_star) > 0.0
+    assignment = np.zeros((m_users, k_tones), dtype=np.int8)
+    assignment[owner, tones] = 1
     return assignment
 
 

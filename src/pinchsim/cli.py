@@ -35,13 +35,22 @@ def _float_list(text: str):
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (flat key = value lines)")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--json", help="also write a JSON mirror here")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--drops", type=int, help="Monte Carlo drops override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=_positive_int, default=1, help="worker threads, >= 1"
+    )
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,7 +75,7 @@ def _base_config(args) -> ExperimentConfig:
 
 
 def _run_and_emit(config: ExperimentConfig, args) -> None:
-    result = run_sweep(config, threads=max(1, args.threads))
+    result = run_sweep(config, threads=args.threads)
     emit_csv(result, args.out)
     if args.json:
         emit_json(result, args.json)

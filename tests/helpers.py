@@ -67,3 +67,67 @@ def random_grid(rng, n_users, k, scale=1.0, zero_fraction=0.0):
     if zero_fraction > 0:
         h[rng.random((n_users, k)) < zero_fraction] = 0.0
     return grid_from_h(h)
+
+
+def reference_channel_advantage(gains_sq):
+    """Per-user definition of the channel advantage: own |H|^2 over the best
+    other user's, with that user's row deleted; +inf where no other user has
+    any gain."""
+    m_users = gains_sq.shape[0]
+    gamma = np.empty_like(gains_sq)
+    for m in range(m_users):
+        others = np.delete(gains_sq, m, axis=0)
+        denom = others.max(axis=0) if others.size else np.zeros(gains_sq.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = gains_sq[m] / denom
+        row[denom == 0.0] = np.inf
+        gamma[m] = row
+    return gamma
+
+
+def reference_greedy_assign(gains_sq, frame, scenario):
+    """Max-min greedy tone assignment (Rhee & Cioffi, VTC 2000) written as a
+    rescan of every unassigned tone at each step: the oracle that
+    `pinchsim.alloc.greedy_assign` must match exactly.
+
+    The worst-off active user (lowest index on ties) takes the unassigned
+    tone with the largest advantage, then largest own gain, then lowest
+    index; a user with no positive-gain tone left is skipped for good, and
+    tones left when every user is skipped go to user 0.
+    """
+    m_users, k_tones = gains_sq.shape
+    gamma = reference_channel_advantage(gains_sq)
+    assignment = np.zeros((m_users, k_tones), dtype=np.int8)
+    unassigned = np.ones(k_tones, dtype=bool)
+    provisional = np.zeros(m_users)
+    active = np.ones(m_users, dtype=bool)
+    snr_slope = scenario.tx_power / (
+        scenario.noise_psd * frame.subcarrier_spacing * scenario.n_pas * k_tones
+    )
+    eff_df = frame.cp_efficiency * frame.subcarrier_spacing
+
+    remaining = k_tones
+    while remaining > 0:
+        if not active.any():
+            assignment[0, unassigned] = 1
+            break
+        masked = np.where(active, provisional, np.inf)
+        m_star = int(np.argmin(masked))
+        candidates = np.flatnonzero(unassigned)
+        own = gains_sq[m_star, candidates]
+        if not np.any(own > 0.0):
+            active[m_star] = False
+            continue
+        advantage = gamma[m_star, candidates]
+        ties = candidates[advantage == advantage.max()]
+        if ties.size > 1:
+            own_ties = gains_sq[m_star, ties]
+            ties = ties[own_ties == own_ties.max()]
+        k_star = int(ties.min())
+        assignment[m_star, k_star] = 1
+        unassigned[k_star] = False
+        remaining -= 1
+        provisional[m_star] += eff_df * np.log2(
+            1.0 + gains_sq[m_star, k_star] * snr_slope
+        )
+    return assignment

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim.alloc import (
     Allocation,
+    _channel_advantage,
     allocate,
     exhaustive_oracle,
     gain_grid,
@@ -16,7 +19,14 @@ from pinchsim.alloc import (
     waterfill,
 )
 
-from helpers import grid_from_h, make_frame, random_grid, unit_scenario
+from helpers import (
+    grid_from_h,
+    make_frame,
+    random_grid,
+    reference_channel_advantage,
+    reference_greedy_assign,
+    unit_scenario,
+)
 
 POW2 = (1, 2, 4, 8, 16, 32)
 
@@ -123,6 +133,77 @@ class TestGreedyAssign:
         assert b[0, 1] == 1 and b[1, 0] == 1
 
 
+@st.composite
+def gain_instances(draw):
+    """(M, K) |H|^2 grids, M in 1..5 and K in 1..64 (so M > K occurs), from a
+    small discrete set that forces ties and dead tones, or from a continuous
+    law with a share of zeros; optionally one all-zero row and column."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 64))
+    element = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+            ]
+        )
+    )
+    gains_sq = np.array(draw(st.lists(element, min_size=m * k, max_size=m * k)))
+    gains_sq = gains_sq.reshape(m, k)
+    dead_row = draw(st.none() | st.integers(0, m - 1))
+    dead_col = draw(st.none() | st.integers(0, k - 1))
+    if dead_row is not None:
+        gains_sq[dead_row] = 0.0
+    if dead_col is not None:
+        gains_sq[:, dead_col] = 0.0
+    return gains_sq
+
+
+@settings(max_examples=300, deadline=None)
+@given(gains_sq=gain_instances(), tx_power=st.floats(0.01, 100.0))
+def test_greedy_assign_equals_rescanning_reference(gains_sq, tx_power):
+    """Static per-user tone orders give exactly the assignment of the loop
+    that rescans every unassigned tone at each step."""
+    frame, scenario = unit_setup(*gains_sq.shape, tx_power=tx_power)
+    assert np.array_equal(
+        greedy_assign(gains_sq, frame, scenario),
+        reference_greedy_assign(gains_sq, frame, scenario),
+    )
+
+
+class TestChannelAdvantage:
+    @pytest.mark.parametrize(
+        "gains_sq",
+        [
+            # Column maxima tied across users, with and without a third user.
+            [[2.0, 1.0, 3.0], [2.0, 0.5, 3.0]],
+            [[2.0, 1.0, 3.0], [2.0, 0.5, 1.0], [1.0, 1.0, 3.0]],
+            # All-zero columns next to live ones.
+            [[0.0, 1.5, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0], [0.0, 0.25, 2.0, 0.0]],
+            # Single user.
+            [[0.0, 0.7, 4.0]],
+        ],
+    )
+    def test_bits_equal_per_user_delete(self, gains_sq):
+        gains_sq = np.array(gains_sq)
+        gamma = _channel_advantage(gains_sq)
+        expected = reference_channel_advantage(gains_sq)
+        assert np.array_equal(gamma.view(np.uint64), expected.view(np.uint64))
+
+    def test_dead_columns_and_single_user_are_infinite(self):
+        gains_sq = np.array([[0.0, 1.0], [0.0, 3.0]])
+        assert np.all(_channel_advantage(gains_sq)[:, 0] == np.inf)
+        assert np.all(_channel_advantage(gains_sq[:1]) == np.inf)
+        assert np.all(_channel_advantage(np.zeros((1, 3))) == np.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gains_sq=gain_instances())
+    def test_bits_equal_on_drawn_grids(self, gains_sq):
+        gamma = _channel_advantage(gains_sq)
+        expected = reference_channel_advantage(gains_sq)
+        assert np.array_equal(gamma.view(np.uint64), expected.view(np.uint64))
+
+
 class TestWaterfill:
     def test_two_channel_tight_budget(self):
         p, level = waterfill(np.array([1.0, 0.5]), 1.0)
@@ -199,6 +280,36 @@ class TestWaterfill:
             trials = rng.dirichlet(np.ones(k), size=2000) * budget
             objectives = np.sum(np.log2(1.0 + gains * trials), axis=1)
             assert np.all(objectives <= best + 1e-9 * max(1.0, abs(best)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gains=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=64
+    ),
+    budget=st.floats(0.0, 100.0),
+)
+def test_waterfill_kkt(gains, budget):
+    """KKT conditions of water-filling (Palomar & Fonollosa, IEEE TSP 2005):
+    loads are non-negative and zero on zero-gain channels, sum to the budget
+    over the positive-gain channels, sit at the water level on active
+    channels and leave idle channels with floors at or above it."""
+    gains = np.array(gains)
+    p, level = waterfill(gains, budget)
+    positive = gains > 0.0
+    assert np.all(p >= 0.0)
+    assert np.all(p[~positive] == 0.0)
+    if not positive.any():
+        assert math.isnan(level)
+        return
+    # Each load is level - 1/g, so the sum is exact only to a few ulps of the level.
+    assert p[positive].sum() == pytest.approx(
+        budget, rel=1e-12, abs=1e-12 * positive.sum() * level
+    )
+    active = p > 0.0
+    assert np.allclose(p[active] + 1.0 / gains[active], level, rtol=1e-12, atol=0.0)
+    idle = positive & ~active
+    assert np.all(1.0 / gains[idle] >= level * (1.0 - 1e-12))
 
 
 class TestAllocate:

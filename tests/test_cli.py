@@ -86,6 +86,22 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected_naming_flag(
+        self, tiny_config, tmp_path, capsys, threads
+    ):
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "simulate", "--config", str(tiny_config), "--out", str(out),
+                    "--threads", threads,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepN:
     def test_defaults_without_config(self, tmp_path):
