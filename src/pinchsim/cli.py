@@ -35,21 +35,29 @@ def _float_list(text: str):
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (flat key = value lines)")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--json", help="also write a JSON mirror here")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--drops", type=int, help="Monte Carlo drops override")
+    parser.add_argument("--seed", type=_nonnegative_int, help="master seed override")
+    parser.add_argument("--drops", type=_positive_int, help="Monte Carlo drops override")
     parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads, >= 1"
+        "--threads", type=_positive_int, default=1, help="worker processes, >= 1"
     )
 
 
@@ -152,17 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_float_list,
         help="transmit powers in dBm, e.g. 0,10,20",
     )
-    p_p.add_argument("--pa-count", type=int, help="fixed number of PAs")
+    p_p.add_argument("--pa-count", type=_positive_int, help="fixed number of PAs")
     p_p.set_defaults(
         func=_cmd_sweep, axis="tx_power", default_axis_values=(0.0, 5.0, 10.0, 15.0, 20.0)
     )
 
     p_t = sub.add_parser("trace-drop", help="dump one drop as JSON")
-    p_t.add_argument("--seed", type=int, required=True, help="master seed")
-    p_t.add_argument("--index", type=int, required=True, help="drop index")
+    p_t.add_argument("--seed", type=_nonnegative_int, required=True, help="master seed")
+    p_t.add_argument("--index", type=_nonnegative_int, required=True, help="drop index")
     p_t.add_argument("--config", help="config file for scenario constants")
-    p_t.add_argument("--n-pas", type=int, default=10)
-    p_t.add_argument("--n-users", type=int, default=2)
+    p_t.add_argument("--n-pas", type=_positive_int, default=10)
+    p_t.add_argument("--n-users", type=_positive_int, default=2)
     p_t.add_argument("--beta", type=float, default=0.05)
     p_t.add_argument("--tx-power-dbm", type=float)
     p_t.add_argument("--out", help="write JSON here instead of stdout")

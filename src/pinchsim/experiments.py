@@ -6,16 +6,16 @@ derived purely from (master_seed, drop_index, purpose), never from the grid
 point, so the same underlying user positions and blockage uniforms are
 reused across axis values: common random numbers, which makes monotonicity
 comparisons across transmit power and blockage density meaningful and the
-doubled-drop run an extension of the shorter one.
+doubled-drop run an extension of the shorter one. Parallel sweeps run
+contiguous chunks of drops in worker processes, byte-identical for any count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"axis must be pa_count or tx_power, got {self.axis!r}")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.axis_values:
             raise ValueError("axis_values must be nonempty")
         if list(self.axis_values) != sorted(self.axis_values):
@@ -215,37 +217,45 @@ class SweepResult:
         raise KeyError((scheme, axis_value, n_users, beta))
 
 
-def _drop_matrix(scenario: Scenario, master_seed: int, drops: int, threads: int):
-    """(drops, 3) matrix of per-drop scheme minima, ordered by drop index."""
-    drop = partial(run_drop, scenario, master_seed)
-    if threads <= 1:
-        return np.array([drop(d) for d in range(drops)])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(drop, range(drops))))
+def _chunks(drops: int, workers: int) -> list[tuple[int, int]]:
+    """Split range(drops) into min(workers, drops) contiguous non-empty runs."""
+    w = min(workers, drops)
+    return [(drops * i // w, drops * (i + 1) // w) for i in range(w)]
+
+
+def _drop_chunk(scenario: Scenario, master_seed: int, start: int, stop: int):
+    """run_drop's (ofdma, single_pa, sc_fde) triples for drops start..stop-1."""
+    return [run_drop(scenario, master_seed, d) for d in range(start, stop)]
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Average run_drop over the whole sweep grid.
 
-    The result is independent of the thread count: drops are keyed by index
-    and aggregated in index order.
+    With min(threads, drops) > 1, one pool of that many worker processes
+    runs contiguous chunks of drops; aggregating in drop order keeps the
+    output independent of the worker count.
     """
-    stats = {}
-    for n_users in config.m_values:
-        for beta in config.beta_values:
-            for axis_value in config.axis_values:
-                scenario = scenario_for(config, axis_value, n_users, beta)
-                mat = _drop_matrix(scenario, config.master_seed, config.drops, threads)
-                means = mat.mean(axis=0)
-                if config.drops > 1:
-                    stderrs = mat.std(axis=0, ddof=1) / math.sqrt(config.drops)
-                else:
-                    stderrs = np.zeros(len(SCHEMES))
-                stats[(n_users, beta, axis_value)] = (means, stderrs)
+    points = list(product(config.m_values, config.beta_values, config.axis_values))
+    chunks = _chunks(config.drops, threads)
+    scenarios = [scenario_for(config, value, m, beta) for m, beta, value in points]
+    jobs = [(sc, config.master_seed, *chunk) for sc in scenarios for chunk in chunks]
+    if len(chunks) == 1:
+        parts = [_drop_chunk(*job) for job in jobs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_drop_chunk, *zip(*jobs)))
+    # per grid point, the (drops, 3) matrix of per-drop scheme minima in drop order
+    triples = [t for part in parts for t in part]
+    mats = np.array(triples).reshape(len(points), config.drops, len(SCHEMES))
+    means = [mat.mean(axis=0) for mat in mats]
+    stderrs = np.zeros_like(means)
+    if config.drops > 1:
+        stderrs = [mat.std(axis=0, ddof=1) / math.sqrt(config.drops) for mat in mats]
 
     result = SweepResult(master_seed=config.master_seed)
     for s, scheme in enumerate(SCHEMES):
-        for (n_users, beta, axis_value), (means, stderrs) in stats.items():
+        for (n_users, beta, axis_value), mean, stderr in zip(points, means, stderrs):
             result.points.append(
                 SweepPoint(
                     scheme=scheme,
@@ -253,8 +263,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
                     axis_value=axis_value,
                     n_users=n_users,
                     beta=beta,
-                    mean_min_rate=float(means[s]),
-                    stderr=float(stderrs[s]),
+                    mean_min_rate=float(mean[s]),
+                    stderr=float(stderr[s]),
                     drops=config.drops,
                 )
             )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim.alloc import allocate, min_rate
 from pinchsim.baselines import (
@@ -120,6 +122,32 @@ class TestScFdeEffectiveSnr:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sc_fde_effective_snr([-0.1])
+
+
+tone_snrs = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=64
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gammas=tone_snrs, tone=st.integers(0, 63), boost=st.floats(1e-9, 1e6))
+def test_sc_fde_effective_snr_properties(gammas, tone, boost):
+    """MMSE SC-FDE (Falconer et al., IEEE Commun. Mag. 2002): the effective
+    SNR is the harmonic mean of 1 + gamma minus 1, so it lies between the
+    smallest and the mean per-tone SNR, equals gamma on a flat channel and
+    does not decrease when one tone improves. The formula works on 1 + gamma,
+    so the tolerances scale with 1 + gamma."""
+    gammas = np.array(gammas)
+    eff = sc_fde_effective_snr(gammas)
+    low, mean = gammas.min(), gammas.mean()
+    assert low - 1e-12 * (1.0 + low) <= eff <= mean + 1e-12 * (1.0 + mean)
+
+    flat = sc_fde_effective_snr(np.full(gammas.size, gammas[0]))
+    assert abs(flat - gammas[0]) <= 1e-12 * (1.0 + gammas[0])
+
+    better = gammas.copy()
+    better[tone % gammas.size] += boost
+    assert sc_fde_effective_snr(better) >= eff
 
 
 class TestScFdeStandaloneRate:

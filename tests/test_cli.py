@@ -203,6 +203,32 @@ class TestTraceDrop:
         assert trace["scenario"]["bandwidth"] == 500e6
 
 
+BAD_NUMBERS = [
+    (["simulate", "--drops", "0"], "--drops"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["sweep-n", "--seed", "-1"], "--seed"),
+    (["sweep-power", "--pa-count", "0"], "--pa-count"),
+    (["trace-drop", "--seed", "-1", "--index", "0"], "--seed"),
+    (["trace-drop", "--seed", "1", "--index", "-1"], "--index"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--n-pas", "0"], "--n-pas"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--n-users", "0"], "--n-users"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", BAD_NUMBERS, ids=[f"{argv[0]}{flag}" for argv, flag in BAD_NUMBERS]
+)
+def test_bad_numbers_rejected_naming_flag(tiny_config, tmp_path, capsys, argv, flag):
+    out = tmp_path / "never.csv"
+    if argv[0] != "trace-drop":
+        argv = argv + ["--config", str(tiny_config), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pinchsim.experiments import (
     SCHEMES,
@@ -21,7 +23,7 @@ from pinchsim.experiments import (
     trace_drop,
     watts_to_dbm,
 )
-from pinchsim.experiments import _drop_matrix
+from pinchsim.experiments import _chunks, _drop_chunk
 from pinchsim.geometry import Scenario
 
 
@@ -84,6 +86,7 @@ class TestExperimentConfig:
             (dict(axis="tx_power", axis_values=(0.0, 0.0)), "axis_values has duplicate"),
             (dict(m_values=(2, 2)), "m_values has duplicate"),
             (dict(beta_values=(0.05, 0.05)), "beta_values has duplicate"),
+            (dict(master_seed=-1), "master_seed must be >= 0"),
         ],
     )
     def test_rejects_invalid_values(self, kw, message):
@@ -144,8 +147,8 @@ class TestRunSweep:
 
     def test_doubling_drops_extends_streams(self):
         sc = scenario_for(small_config(), 2, 2, 0.05)
-        short = _drop_matrix(sc, 123, 3, threads=1)
-        long = _drop_matrix(sc, 123, 6, threads=1)
+        short = _drop_chunk(sc, 123, 0, 3)
+        long = _drop_chunk(sc, 123, 0, 6)
         assert np.array_equal(short, long[:3])
 
     def test_thread_count_does_not_change_results(self):
@@ -154,6 +157,18 @@ class TestRunSweep:
         threaded = run_sweep(cfg, threads=3)
         for a, b in zip(serial.points, threaded.points):
             assert a == b
+
+    @pytest.mark.parametrize("threads", [2, 3, 7])
+    def test_worker_count_and_chunking_do_not_change_points(self, threads):
+        # 7 > drops: the pool is capped at 5 workers, one drop each.
+        cfg = small_config(drops=5, m_values=(1, 2), beta_values=(0.05, 0.3))
+        assert run_sweep(cfg, threads=threads).points == run_sweep(cfg).points
+
+    def test_worker_error_surfaces(self):
+        cfg = small_config(drops=2)
+        cfg.master_seed = -1  # past the config check, so the drops themselves fail
+        with pytest.raises(ValueError, match="non-negative"):
+            run_sweep(cfg, threads=2)
 
     def test_point_count_and_order(self):
         cfg = small_config(axis_values=(2, 3), m_values=(1, 2), beta_values=(0.05, 0.1))
@@ -199,6 +214,16 @@ class TestRunSweep:
             m2 = result.point(scheme, 5, 2, 0.05).mean_min_rate
             m4 = result.point(scheme, 5, 4, 0.05).mean_min_rate
             assert m4 <= m2 + 1e-9
+
+
+@given(drops=st.integers(1, 200), workers=st.integers(1, 16))
+def test_chunks_partition_the_drops_in_order(drops, workers):
+    """Chunks are non-empty, one per worker up to one per drop, and read in
+    order they are exactly range(drops): contiguous and ascending."""
+    chunks = _chunks(drops, workers)
+    assert len(chunks) == min(workers, drops)
+    assert all(start < stop for start, stop in chunks)
+    assert [d for start, stop in chunks for d in range(start, stop)] == list(range(drops))
 
 
 class TestEmitCsv:
@@ -315,6 +340,7 @@ class TestLoadConfig:
             ("drops = 2.5", ":2: bad value for drops: invalid literal"),
             ("m_values = 2, x", ":2: bad value for m_values: invalid literal"),
             ("m_values = 0", ": m_values must be >= 1"),
+            ("master_seed = -1", ": master_seed must be >= 0"),
         ],
     )
     def test_bad_value_names_the_file(self, tmp_path, line, message):
