@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -25,10 +26,6 @@ from .experiments import (
 )
 
 __all__ = ["main"]
-
-
-def _int_list(text: str):
-    return tuple(int(t) for t in text.split(",") if t.strip())
 
 
 def _float_list(text: str):
@@ -50,6 +47,28 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _positive_int_list(text: str):
+    return tuple(_positive_int(t) for t in text.split(",") if t.strip())
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _nonnegative_float_list(text: str):
+    return tuple(_nonnegative_float(t) for t in text.split(",") if t.strip())
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (flat key = value lines)")
     parser.add_argument("--out", required=True, help="output CSV path")
@@ -62,9 +81,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m-values", type=_int_list, help="user counts, e.g. 2,4")
+    parser.add_argument("--m-values", type=_positive_int_list, help="user counts, e.g. 2,4")
     parser.add_argument(
-        "--beta-values", type=_float_list, help="blockage densities, e.g. 0.05,0.15"
+        "--beta-values", type=_nonnegative_float_list, help="blockage densities, e.g. 0.05,0.15"
     )
 
 
@@ -145,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_n)
     _add_sweep_flags(p_n)
     p_n.add_argument(
-        "--n-values", dest="axis_values", metavar="N_VALUES", type=_int_list,
+        "--n-values", dest="axis_values", metavar="N_VALUES", type=_positive_int_list,
         help="PA counts, e.g. 5,10,15",
     )
-    p_n.add_argument("--tx-power-dbm", type=float, help="fixed transmit power, dBm")
+    p_n.add_argument("--tx-power-dbm", type=_finite_float, help="fixed transmit power, dBm")
     p_n.set_defaults(
         func=_cmd_sweep, axis="pa_count", default_axis_values=ExperimentConfig().axis_values
     )
@@ -171,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--config", help="config file for scenario constants")
     p_t.add_argument("--n-pas", type=_positive_int, default=10)
     p_t.add_argument("--n-users", type=_positive_int, default=2)
-    p_t.add_argument("--beta", type=float, default=0.05)
-    p_t.add_argument("--tx-power-dbm", type=float)
+    p_t.add_argument("--beta", type=_nonnegative_float, default=0.05)
+    p_t.add_argument("--tx-power-dbm", type=_finite_float)
     p_t.add_argument("--out", help="write JSON here instead of stdout")
     p_t.set_defaults(func=_cmd_trace_drop)
 

@@ -6,15 +6,21 @@ derived purely from (master_seed, drop_index, purpose), never from the grid
 point, so the same underlying user positions and blockage uniforms are
 reused across axis values: common random numbers, which makes monotonicity
 comparisons across transmit power and blockage density meaningful and the
-doubled-drop run an extension of the shorter one. Parallel sweeps run
-contiguous chunks of drops in worker processes, byte-identical for any count.
+doubled-drop run an extension of the shorter one.
+
+A sweep's unit of work is one (user count, blockage density) and one
+contiguous chunk of drops, run at every axis value. Only the allocation and
+the TDMA baselines read the transmit power, so each drop's channel (users,
+blockage, taps, frame, grid) is built once and shared across power levels;
+the bits are those of separate run_drop calls. Parallel sweeps run these jobs
+in worker processes, byte-identical for any count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
@@ -105,7 +111,7 @@ class ExperimentConfig:
             raise ValueError("m_values and beta_values must be nonempty")
         if any(m < 1 for m in self.m_values):
             raise ValueError(f"m_values must be >= 1, got {self.m_values}")
-        if any(beta < 0 for beta in self.beta_values):
+        if not all(beta >= 0 for beta in self.beta_values):
             raise ValueError(f"beta_values must be >= 0, got {self.beta_values}")
         if self.axis == "pa_count" and not all(
             v >= 1 and float(v).is_integer() for v in self.axis_values
@@ -115,6 +121,18 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicate entries: {values}")
+        if self.pa_count < 1:
+            raise ValueError(f"pa_count must be >= 1, got {self.pa_count}")
+        for name in ("room_length", "room_width", "waveguide_height", "carrier_freq", "bandwidth"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        n_eff = self.refractive_index
+        if not (math.isfinite(n_eff) and n_eff >= 1):
+            raise ValueError(f"refractive_index must be finite and >= 1, got {n_eff}")
+        for name in ("noise_dbm", "tx_power_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float) -> Scenario:
@@ -151,10 +169,10 @@ def drop_rngs(master_seed: int, drop_index: int):
     )
 
 
-def _simulate_drop(scenario: Scenario, master_seed: int, drop_index: int):
-    """The drop pipeline behind run_drop and trace_drop. Returns run_drop's
-    (ofdma, single_pa, sc_fde) minimum rates and the stage outputs
-    (realization, frame, grid, allocation, center_alpha)."""
+def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int):
+    """The power-free half of a drop: users, blockage, taps, frame and grid.
+    None of these stages reads tx_power, so one channel serves every power
+    level. Returns (realization, frame, grid, center_alpha)."""
     rng_users, rng_block, rng_center = drop_rngs(master_seed, drop_index)
     users = sample_users(scenario, rng_users)
     pas = pa_positions(scenario)
@@ -162,16 +180,21 @@ def _simulate_drop(scenario: Scenario, master_seed: int, drop_index: int):
     realization = build_realization(scenario, users, los)
     frame = design_frame(scenario, realization)
     grid = channel_grid(realization, frame)
-
-    allocation = allocate(grid, frame, scenario)
     center_alpha = sample_blockage(
         scenario, users, [center_pa_position(scenario)], rng_center
     )[:, 0]
+    return realization, frame, grid, center_alpha
+
+
+def _drop_rates(scenario: Scenario, channel):
+    """The rates half of a drop on a channel from _drop_channel: run_drop's
+    (ofdma, single_pa, sc_fde) minimum rates and the allocation."""
+    realization, frame, grid, center_alpha = channel
+    allocation = allocate(grid, frame, scenario)
     single_pa, sc_fde = baseline_min_rates(
         realization, grid, frame, scenario, center_alpha
     )
-    rates = (min_rate(allocation), single_pa, sc_fde)
-    return rates, (realization, frame, grid, allocation, center_alpha)
+    return (min_rate(allocation), single_pa, sc_fde), allocation
 
 
 def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
@@ -180,7 +203,7 @@ def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
     Returns (ofdma, single_pa, sc_fde) in bits/s. A drop where every scheme
     lands at zero (total blockage) is a valid data point.
     """
-    return _simulate_drop(scenario, master_seed, drop_index)[0]
+    return _drop_rates(scenario, _drop_channel(scenario, master_seed, drop_index))[0]
 
 
 @dataclass
@@ -223,31 +246,58 @@ def _chunks(drops: int, workers: int) -> list[tuple[int, int]]:
     return [(drops * i // w, drops * (i + 1) // w) for i in range(w)]
 
 
-def _drop_chunk(scenario: Scenario, master_seed: int, start: int, stop: int):
-    """run_drop's (ofdma, single_pa, sc_fde) triples for drops start..stop-1."""
-    return [run_drop(scenario, master_seed, d) for d in range(start, stop)]
+def _drop_chunk(scenarios: list[Scenario], master_seed: int, start: int, stop: int):
+    """Drops start..stop-1 at every axis value of one (M, beta): one row per
+    drop, holding run_drop's (ofdma, single_pa, sc_fde) for each scenario.
+
+    A drop's channel is built once and rebuilt only for a scenario that
+    differs from the previous one in more than tx_power, so all power levels
+    share it while every PA count gets its own."""
+    fresh = [
+        i == 0 or replace(scenarios[i - 1], tx_power=scenario.tx_power) != scenario
+        for i, scenario in enumerate(scenarios)
+    ]
+    rows = []
+    for d in range(start, stop):
+        row = []
+        for scenario, new_channel in zip(scenarios, fresh):
+            if new_channel:
+                channel = None  # free the previous grid before building the next
+                channel = _drop_channel(scenario, master_seed, d)
+            row.append(_drop_rates(scenario, channel)[0])
+        rows.append(row)
+    return rows
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Average run_drop over the whole sweep grid.
 
-    With min(threads, drops) > 1, one pool of that many worker processes
-    runs contiguous chunks of drops; aggregating in drop order keeps the
-    output independent of the worker count.
+    A job is one (M, beta) and one contiguous chunk of drops, run at every
+    axis value; each drop's channel is shared across power levels (see
+    _drop_chunk), which gives the same bits as separate run_drop calls. With
+    min(threads, drops) > 1, one pool of that many worker processes runs the
+    jobs; aggregating in grid and drop order keeps the output independent of
+    the worker count.
     """
-    points = list(product(config.m_values, config.beta_values, config.axis_values))
+    groups = [
+        [scenario_for(config, value, m, beta) for value in config.axis_values]
+        for m, beta in product(config.m_values, config.beta_values)
+    ]
     chunks = _chunks(config.drops, threads)
-    scenarios = [scenario_for(config, value, m, beta) for m, beta, value in points]
-    jobs = [(sc, config.master_seed, *chunk) for sc in scenarios for chunk in chunks]
+    jobs = [(scenarios, config.master_seed, *chunk) for scenarios in groups for chunk in chunks]
     if len(chunks) == 1:
         parts = [_drop_chunk(*job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_drop_chunk, *zip(*jobs)))
-    # per grid point, the (drops, 3) matrix of per-drop scheme minima in drop order
-    triples = [t for part in parts for t in part]
-    mats = np.array(triples).reshape(len(points), config.drops, len(SCHEMES))
+    # (M, beta) x drop x axis value x scheme, reordered so that each grid
+    # point of product(m_values, beta_values, axis_values) gets the C-ordered
+    # (drops, 3) matrix of its per-drop scheme minima in drop order
+    rows = np.array([row for part in parts for row in part])
+    shape = (len(groups), config.drops, len(config.axis_values), len(SCHEMES))
+    points = list(product(config.m_values, config.beta_values, config.axis_values))
+    mats = rows.reshape(shape).swapaxes(1, 2).reshape(len(points), config.drops, len(SCHEMES))
     means = [mat.mean(axis=0) for mat in mats]
     stderrs = np.zeros_like(means)
     if config.drops > 1:
@@ -364,9 +414,9 @@ def load_config(path) -> ExperimentConfig:
 def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
     """Re-run one drop through run_drop's pipeline and dump its internals as
     plain JSON-ready data."""
-    (ofdma, single_pa, sc_fde), (realization, frame, grid, allocation, center_alpha) = (
-        _simulate_drop(scenario, master_seed, drop_index)
-    )
+    channel = _drop_channel(scenario, master_seed, drop_index)
+    (ofdma, single_pa, sc_fde), allocation = _drop_rates(scenario, channel)
+    realization, frame, grid, center_alpha = channel
     magnitudes = np.abs(grid.h)
     return {
         "master_seed": master_seed,

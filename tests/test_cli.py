@@ -212,6 +212,16 @@ BAD_NUMBERS = [
     (["trace-drop", "--seed", "1", "--index", "-1"], "--index"),
     (["trace-drop", "--seed", "1", "--index", "0", "--n-pas", "0"], "--n-pas"),
     (["trace-drop", "--seed", "1", "--index", "0", "--n-users", "0"], "--n-users"),
+    (["sweep-n", "--m-values", "0"], "--m-values"),
+    (["sweep-power", "--m-values", "2,0"], "--m-values"),
+    (["sweep-n", "--n-values", "0"], "--n-values"),
+    (["sweep-n", "--n-values", "5,-2"], "--n-values"),
+    (["sweep-power", "--beta-values", "-1"], "--beta-values"),
+    (["sweep-n", "--beta-values", "0.05,-0.1"], "--beta-values"),
+    (["sweep-n", "--beta-values", "nan"], "--beta-values"),
+    (["sweep-n", "--tx-power-dbm", "inf"], "--tx-power-dbm"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--beta", "-1"], "--beta"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "nan"], "--tx-power-dbm"),
 ]
 
 

@@ -1,13 +1,16 @@
 """Monte Carlo harness: determinism, common random numbers, CSV/JSON output."""
 
 import json
+import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchsim import experiments
 from pinchsim.experiments import (
     SCHEMES,
     ExperimentConfig,
@@ -87,6 +90,16 @@ class TestExperimentConfig:
             (dict(m_values=(2, 2)), "m_values has duplicate"),
             (dict(beta_values=(0.05, 0.05)), "beta_values has duplicate"),
             (dict(master_seed=-1), "master_seed must be >= 0"),
+            (dict(beta_values=(float("nan"),)), "beta_values must be >= 0"),
+            (dict(pa_count=0), "pa_count must be >= 1"),
+            (dict(room_length=0.0), "room_length must be finite and > 0"),
+            (dict(room_width=-10.0), "room_width must be finite and > 0"),
+            (dict(waveguide_height=float("inf")), "waveguide_height must be finite and > 0"),
+            (dict(carrier_freq=float("nan")), "carrier_freq must be finite and > 0"),
+            (dict(bandwidth=-5.0), "bandwidth must be finite and > 0"),
+            (dict(refractive_index=0.9), "refractive_index must be finite and >= 1"),
+            (dict(noise_dbm=float("-inf")), "noise_dbm must be finite"),
+            (dict(tx_power_dbm=float("nan")), "tx_power_dbm must be finite"),
         ],
     )
     def test_rejects_invalid_values(self, kw, message):
@@ -146,9 +159,10 @@ class TestRunSweep:
                 assert point.drops == 1
 
     def test_doubling_drops_extends_streams(self):
-        sc = scenario_for(small_config(), 2, 2, 0.05)
-        short = _drop_chunk(sc, 123, 0, 3)
-        long = _drop_chunk(sc, 123, 0, 6)
+        cfg = small_config()
+        scenarios = [scenario_for(cfg, v, 2, 0.05) for v in cfg.axis_values]
+        short = _drop_chunk(scenarios, 123, 0, 3)
+        long = _drop_chunk(scenarios, 123, 0, 6)
         assert np.array_equal(short, long[:3])
 
     def test_thread_count_does_not_change_results(self):
@@ -169,6 +183,24 @@ class TestRunSweep:
         cfg.master_seed = -1  # past the config check, so the drops themselves fail
         with pytest.raises(ValueError, match="non-negative"):
             run_sweep(cfg, threads=2)
+
+    def test_channel_built_once_per_drop_across_power_levels(self, monkeypatch):
+        grids = []
+        real = experiments.channel_grid
+
+        def counting(*args):
+            grids.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "channel_grid", counting)
+        lists = dict(m_values=(1, 2), beta_values=(0.05, 0.3), drops=2)
+        power = small_config(axis="tx_power", axis_values=(0.0, 10.0, 20.0), **lists)
+        run_sweep(power, threads=1)
+        assert len(grids) == 2 * 2 * 2  # M x beta x drops: one per drop, not per level
+        grids.clear()
+        counts = small_config(axis_values=(2, 3, 4), **lists)
+        run_sweep(counts, threads=1)
+        assert len(grids) == 3 * 2 * 2 * 2  # every PA count needs its own channel
 
     def test_point_count_and_order(self):
         cfg = small_config(axis_values=(2, 3), m_values=(1, 2), beta_values=(0.05, 0.1))
@@ -224,6 +256,38 @@ def test_chunks_partition_the_drops_in_order(drops, workers):
     assert len(chunks) == min(workers, drops)
     assert all(start < stop for start, stop in chunks)
     assert [d for start, stop in chunks for d in range(start, stop)] == list(range(drops))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    axis=st.sampled_from(["tx_power", "pa_count"]),
+    picks=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True).map(sorted),
+    m_values=st.sampled_from([(1,), (2,), (1, 2)]),
+    beta_values=st.sampled_from([(0.0,), (0.3,), (0.0, 0.3)]),
+    drops=st.integers(1, 6),
+    threads=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_drop_major_sweep_equals_per_point_drops(
+    axis, picks, m_values, beta_values, drops, threads, seed
+):
+    """Every point of a sweep, whose drops share one channel across power
+    levels, has the same bits as independent run_drop calls at that point."""
+    values = tuple(picks) if axis == "pa_count" else tuple(5.0 * p - 10.0 for p in picks)
+    cfg = small_config(
+        axis=axis, axis_values=values, m_values=m_values, beta_values=beta_values,
+        drops=drops, master_seed=seed, pa_count=3, bandwidth=50e6,
+    )
+    result = run_sweep(cfg, threads=threads)
+    for m, beta, value in product(m_values, beta_values, values):
+        sc = scenario_for(cfg, value, m, beta)
+        mat = np.array([run_drop(sc, seed, d) for d in range(drops)])
+        means = mat.mean(axis=0)
+        stderrs = mat.std(axis=0, ddof=1) / math.sqrt(drops) if drops > 1 else 0.0 * means
+        for s, scheme in enumerate(SCHEMES):
+            point = result.point(scheme, value, m, beta)
+            assert point.mean_min_rate.hex() == float(means[s]).hex()
+            assert point.stderr.hex() == float(stderrs[s]).hex()
 
 
 class TestEmitCsv:
@@ -341,6 +405,10 @@ class TestLoadConfig:
             ("m_values = 2, x", ":2: bad value for m_values: invalid literal"),
             ("m_values = 0", ": m_values must be >= 1"),
             ("master_seed = -1", ": master_seed must be >= 0"),
+            ("pa_count = 0", ": pa_count must be >= 1"),
+            ("bandwidth = -5", ": bandwidth must be finite and > 0"),
+            ("refractive_index = 0.5", ": refractive_index must be finite and >= 1"),
+            ("tx_power_dbm = inf", ": tx_power_dbm must be finite"),
         ],
     )
     def test_bad_value_names_the_file(self, tmp_path, line, message):
