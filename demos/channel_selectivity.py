@@ -10,16 +10,14 @@ import numpy as np
 
 from pinchsim import (
     Scenario,
-    Point3,
     build_realization,
     channel_grid,
     design_frame,
     frequency_response,
-    pa_positions,
 )
 
 scenario = Scenario(n_pas=2, n_users=1, blockage_density=0.0)
-user = Point3(8.0, 2.0, 0.0)
+user = (8.0, 2.0, 0.0)
 los = np.ones((1, 2), dtype=np.int8)
 
 realization = build_realization(scenario, [user], los)
@@ -27,11 +25,11 @@ realization = build_realization(scenario, [user], los)
 print("=" * 64)
 print("Tap list for one user served by two PAs")
 print("=" * 64)
-for n, pa in enumerate(pa_positions(scenario)):
-    tap = realization.tap(0, n)
+taps = zip(realization.pas, realization.tap_gains[0], realization.tap_delays[0])
+for n, (pa, gain, delay) in enumerate(taps):
     print(
-        f"PA {n + 1} at x = {pa.x:5.1f} m:  |gain| = {abs(tap.gain):.3e}, "
-        f"delay = {tap.delay * 1e9:7.3f} ns"
+        f"PA {n + 1} at x = {pa[0]:5.1f} m:  |gain| = {abs(gain):.3e}, "
+        f"delay = {delay * 1e9:7.3f} ns"
     )
 spread = realization.tap_delays.max() - realization.tap_delays.min()
 print(f"\nExcess delay between the taps: {spread * 1e9:.2f} ns")

@@ -9,7 +9,6 @@ TDMA references (`baselines`), and seeded Monte Carlo sweeps (`experiments`).
 """
 
 from .geometry import (
-    Point3,
     Scenario,
     center_pa_position,
     distance,
@@ -23,7 +22,6 @@ from .channel import (
     SPEED_OF_LIGHT,
     ChannelGrid,
     ChannelRealization,
-    Tap,
     build_realization,
     channel_grid,
     composite_delay,

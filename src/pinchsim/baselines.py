@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import link_gain
+from .channel import _link_gains
 from .frame import FrameDesign
-from .geometry import Point3, Scenario, center_pa_position
+from .geometry import Scenario, center_pa_position, distance_matrix
 
 __all__ = [
     "TimeShares",
@@ -40,16 +40,16 @@ class TimeShares:
     min_rate: float  # bits/s
 
 
-def standalone_rate_single_pa(
-    user: Point3, center_pa: Point3, alpha: int, scenario: Scenario
-) -> float:
-    """Full-band rate of one user served alone by the center PA all slot.
-
-    B * log2(1 + alpha * |h|^2 * P_t / noise_power); a blocked link yields 0.
+def standalone_rate_single_pa(users, alpha, scenario: Scenario) -> np.ndarray:
+    """Full-band rates, shape (M,), of (M, 3) users each served alone by the
+    center PA all slot: B * log2(1 + alpha_m |h_m|^2 P_t / noise_power), with
+    alpha the (M,) LoS indicators; a blocked link yields 0.
     """
-    gain = link_gain(user, center_pa, alpha, scenario.carrier_freq)
-    snr = abs(gain) ** 2 * scenario.tx_power / scenario.noise_power
-    return scenario.bandwidth * float(np.log2(1.0 + snr))
+    dist = distance_matrix(users, center_pa_position(scenario))[:, 0]
+    gains = _link_gains(dist, np.asarray(alpha), scenario.carrier_freq)
+    # abs and log2 per user, in this order: the array forms can differ in the last bit.
+    snr = [abs(g) ** 2 * scenario.tx_power / scenario.noise_power for g in gains.tolist()]
+    return scenario.bandwidth * np.array([float(np.log2(1.0 + x)) for x in snr])
 
 
 def maxmin_time_shares(standalone_rates) -> TimeShares:
@@ -121,11 +121,7 @@ def baseline_min_rates(
 
     Returns (single_pa_min_rate, sc_fde_min_rate) in bits/s.
     """
-    center = center_pa_position(scenario)
-    single_rates = [
-        standalone_rate_single_pa(user, center, int(center_alpha[m]), scenario)
-        for m, user in enumerate(realization.users)
-    ]
+    single_rates = standalone_rate_single_pa(realization.users, center_alpha, scenario)
     sc_fde_rates = [
         sc_fde_standalone_rate(grid.h[m], frame, scenario)
         for m in range(grid.n_users)

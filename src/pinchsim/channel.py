@@ -4,8 +4,11 @@ Each PA re-radiates a phase-shifted replica of the signal fed into the
 waveguide, so user m sees one delayed tap per PA: the channel is an FIR
 filter with N taps. Tap gain is the product of the in-waveguide phase
 rotation (feed to PA) and the free-space link gain (PA to user); tap delay
-is the composite of guided and free-space propagation times. Frequency
-responses are evaluated analytically from the tap list; no sampled impulse
+is the composite of guided and free-space propagation times. A drop's taps
+are (M, N) arrays built from the (M, 3) user and (N, 3) PA positions; the
+scalar helpers link_gain, waveguide_phase and composite_delay are one-link
+calls of the same formulas and take any 3-sequence as a point. Frequency
+responses are evaluated analytically from the taps; no sampled impulse
 response or FFT is involved on the main path.
 """
 
@@ -13,18 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .frame import FrameDesign
-from .geometry import Point3, Scenario, distance, distance_matrix, feed_position, pa_positions
+from .geometry import Scenario, distance, distance_matrix, feed_position, pa_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "Tap",
     "ChannelRealization",
     "ChannelGrid",
     "path_loss_constant",
@@ -35,13 +36,6 @@ __all__ = [
     "frequency_response",
     "channel_grid",
 ]
-
-
-class Tap(NamedTuple):
-    """One FIR tap: complex amplitude and absolute propagation delay (s)."""
-
-    gain: complex
-    delay: float
 
 
 def path_loss_constant(carrier_freq: float) -> float:
@@ -83,7 +77,7 @@ def _composite_delays(dist, feed_dist, refractive_index: float) -> np.ndarray:
     return dist / SPEED_OF_LIGHT + refractive_index * feed_dist / SPEED_OF_LIGHT
 
 
-def link_gain(user: Point3, pa: Point3, alpha: int, carrier_freq: float) -> complex:
+def link_gain(user, pa, alpha: int, carrier_freq: float) -> complex:
     """Free-space complex gain of one PA-to-user link.
 
     alpha is the binary LoS indicator; a blocked link contributes exactly 0.
@@ -93,9 +87,7 @@ def link_gain(user: Point3, pa: Point3, alpha: int, carrier_freq: float) -> comp
     return complex(_link_gains(distance(user, pa), alpha, carrier_freq))
 
 
-def waveguide_phase(
-    pa: Point3, feed: Point3, carrier_freq: float, refractive_index: float
-) -> complex:
+def waveguide_phase(pa, feed, carrier_freq: float, refractive_index: float) -> complex:
     """Unit-magnitude phase rotation accumulated from the feed to a PA.
 
     Guided wavelength is the free-space wavelength divided by the effective
@@ -104,9 +96,7 @@ def waveguide_phase(
     return complex(_waveguide_phases(distance(feed, pa), carrier_freq, refractive_index))
 
 
-def composite_delay(
-    user: Point3, pa: Point3, feed: Point3, refractive_index: float
-) -> float:
+def composite_delay(user, pa, feed, refractive_index: float) -> float:
     """Total propagation delay: guided (feed to PA) plus free space (PA to user).
 
     Guided propagation is slowed by the refractive index, so a guided meter
@@ -123,37 +113,32 @@ class ChannelRealization:
     from PA n. A blocked link has gain exactly 0 but keeps its delay.
     """
 
-    users: list[Point3]
-    pas: list[Point3]
-    feed: Point3
+    users: np.ndarray  # (M, 3) meters
+    pas: np.ndarray  # (N, 3) meters
+    feed: np.ndarray  # (3,) meters
     los: np.ndarray  # (M, N) binary
     tap_gains: np.ndarray  # (M, N) complex
     tap_delays: np.ndarray  # (M, N) seconds
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return self.tap_gains.shape[0]
 
     @property
     def n_pas(self) -> int:
-        return len(self.pas)
-
-    def tap(self, m: int, n: int) -> Tap:
-        return Tap(complex(self.tap_gains[m, n]), float(self.tap_delays[m, n]))
+        return self.tap_gains.shape[1]
 
 
-def build_realization(
-    scenario: Scenario, users: list[Point3], los: np.ndarray
-) -> ChannelRealization:
-    """Assemble the per-link taps for given user positions and LoS draw."""
+def build_realization(scenario: Scenario, users, los: np.ndarray) -> ChannelRealization:
+    """Assemble the (M, N) taps for (M, 3) user positions and an LoS draw."""
+    users = np.asarray(users, dtype=float).reshape(-1, 3)
     pas = pa_positions(scenario)
     feed = feed_position(scenario)
-    m_users, n_pas = len(users), len(pas)
-    if los.shape != (m_users, n_pas):
-        raise ValueError(f"los shape {los.shape} does not match ({m_users}, {n_pas})")
+    if los.shape != (len(users), len(pas)):
+        raise ValueError(f"los shape {los.shape} does not match ({len(users)}, {len(pas)})")
 
     dist = distance_matrix(users, pas)
-    feed_dist = distance_matrix([feed], pas)[0]
+    feed_dist = distance_matrix(feed, pas)[0]
     guided = _waveguide_phases(feed_dist, scenario.carrier_freq, scenario.refractive_index)
     free = _link_gains(dist, los, scenario.carrier_freq)
     # guided * free, written out so that each part rounds as in CPython's
@@ -170,7 +155,7 @@ def frequency_response(realization: ChannelRealization, m: int, f_offset):
     """Channel response of user m at baseband offset(s) f - f_c.
 
     Evaluates sum_n gain_{m,n} * exp(-j 2 pi f_offset tau_{m,n}) directly
-    from the tap list. Accepts a scalar offset or an array of offsets;
+    from user m's row of taps. Accepts a scalar offset or an array of offsets;
     scalar in, complex scalar out.
     """
     offsets = np.atleast_1d(np.asarray(f_offset, dtype=float))

@@ -28,10 +28,6 @@ from .experiments import (
 __all__ = ["main"]
 
 
-def _float_list(text: str):
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
 def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
     if value < minimum:
@@ -53,8 +49,8 @@ def _positive_int_list(text: str):
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -67,6 +63,10 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
+
+
+def _finite_float_list(text: str):
+    return tuple(_finite_float(t) for t in text.split(",") if t.strip())
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_p)
     _add_sweep_flags(p_p)
     p_p.add_argument(
-        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_float_list,
+        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_finite_float_list,
         help="transmit powers in dBm, e.g. 0,10,20",
     )
     p_p.add_argument("--pa-count", type=_positive_int, help="fixed number of PAs")

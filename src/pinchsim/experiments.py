@@ -105,14 +105,16 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.axis_values:
             raise ValueError("axis_values must be nonempty")
+        if self.axis == "tx_power" and not all(map(math.isfinite, self.axis_values)):
+            raise ValueError(f"transmit powers must be finite, got {self.axis_values}")
         if list(self.axis_values) != sorted(self.axis_values):
             raise ValueError("axis_values must be sorted ascending")
         if not self.m_values or not self.beta_values:
             raise ValueError("m_values and beta_values must be nonempty")
         if any(m < 1 for m in self.m_values):
             raise ValueError(f"m_values must be >= 1, got {self.m_values}")
-        if not all(beta >= 0 for beta in self.beta_values):
-            raise ValueError(f"beta_values must be >= 0, got {self.beta_values}")
+        if not all(0 <= beta < math.inf for beta in self.beta_values):
+            raise ValueError(f"beta_values must be >= 0 and finite, got {self.beta_values}")
         if self.axis == "pa_count" and not all(
             v >= 1 and float(v).is_integer() for v in self.axis_values
         ):
@@ -422,9 +424,9 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
         "master_seed": master_seed,
         "drop_index": drop_index,
         "scenario": asdict(scenario),
-        "users": [[u.x, u.y, u.z] for u in realization.users],
-        "pas": [[p.x, p.y, p.z] for p in realization.pas],
-        "feed": [realization.feed.x, realization.feed.y, realization.feed.z],
+        "users": realization.users.tolist(),
+        "pas": realization.pas.tolist(),
+        "feed": realization.feed.tolist(),
         "los": realization.los.tolist(),
         "taps": {
             "gain_real": realization.tap_gains.real.tolist(),

@@ -69,25 +69,17 @@ class FrameDesign:
         return self.fft_duration / (self.fft_duration + self.cp_duration)
 
 
-def _active_delays(realization: ChannelRealization, m: int) -> np.ndarray:
-    """Delays of user m's unblocked taps (possibly empty)."""
-    mask = realization.los[m] != 0
-    return realization.tap_delays[m][mask]
-
-
 def max_excess_delay(realization: ChannelRealization) -> float:
     """Worst excess delay: max over users of (largest - smallest active delay).
 
     Users with no unblocked tap are skipped; a user with a single active tap
     contributes zero spread. Returns 0 when no user has an active tap.
     """
-    worst = 0.0
-    for m in range(realization.n_users):
-        delays = _active_delays(realization, m)
-        if delays.size == 0:
-            continue
-        worst = max(worst, float(delays.max() - delays.min()))
-    return worst
+    active = realization.los != 0
+    # A user with no active tap gets -inf - inf and drops out of the max.
+    hi = realization.tap_delays.max(axis=1, where=active, initial=-np.inf)
+    lo = realization.tap_delays.min(axis=1, where=active, initial=np.inf)
+    return float((hi - lo).max(initial=0.0))
 
 
 def rms_delay_spread(realization: ChannelRealization) -> float:
@@ -97,11 +89,12 @@ def rms_delay_spread(realization: ChannelRealization) -> float:
     tap are skipped. Returns 0 when no user has an active tap.
     """
     worst = 0.0
-    for m in range(realization.n_users):
-        delays = _active_delays(realization, m)
-        if delays.size == 0:
-            continue
-        worst = max(worst, float(np.sqrt(np.mean((delays - delays.mean()) ** 2))))
+    # One compressed row per user: a masked (M, N) mean regroups numpy's
+    # pairwise sums and changes the last bits.
+    for delays, active in zip(realization.tap_delays, realization.los != 0):
+        if active.any():
+            delays = delays[active]
+            worst = max(worst, float(np.sqrt(np.mean((delays - delays.mean()) ** 2))))
     return worst
 
 

@@ -5,18 +5,19 @@ side at fixed height. Radiating apertures (PAs) sit at uniform positions on
 the waveguide; users are dropped uniformly on the floor. Line-of-sight
 blockage per user/PA link follows an exponential-in-distance survival model.
 
+Positions are plain float arrays: M users are an (M, 3) array, N PAs an
+(N, 3) array and a single point a (3,) array of room coordinates (x, y, z).
 All quantities are SI (meters, Hz, watts) unless stated otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "Point3",
     "Scenario",
     "distance",
     "distance_matrix",
@@ -30,34 +31,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point in room coordinates (meters)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite coordinates: ({self.x}, {self.y}, {self.z})")
-
-
-def _coords(points: list[Point3]) -> np.ndarray:
-    return np.array([(p.x, p.y, p.z) for p in points]).reshape(-1, 3)
-
-
-def distance_matrix(a: list[Point3], b: list[Point3]) -> np.ndarray:
+def distance_matrix(a, b) -> np.ndarray:
     """Euclidean distance from every point of a to every point of b, shape
-    (len(a), len(b)). Squares are added x, y, z in that order, so every entry
-    has the same bits whatever the shape of the call."""
-    sq = (_coords(a)[:, None, :] - _coords(b)[None, :, :]) ** 2
+    (A, B). Each argument is an (n, 3) array, a sequence of (3,) points or a
+    single (3,) point, which counts as n = 1. Squares are added x, y, z in
+    that order, so every entry has the same bits whatever the shape of the
+    call."""
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    sq = (a[:, None, :] - b[None, :, :]) ** 2
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance between two points."""
-    return float(distance_matrix([a], [b])[0, 0])
+def distance(a, b) -> float:
+    """Euclidean distance between two points (any 3-sequences)."""
+    return float(distance_matrix(a, b)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -104,6 +92,10 @@ class Scenario:
     noise_power: float = 1e-12
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_pas < 1:
             raise ValueError(f"n_pas must be >= 1, got {self.n_pas}")
         if self.n_users < 1:
@@ -127,65 +119,60 @@ class Scenario:
         return self.noise_power / self.bandwidth
 
 
-def pa_positions(scenario: Scenario) -> list[Point3]:
-    """Uniform PA positions along the waveguide.
+def pa_positions(scenario: Scenario) -> np.ndarray:
+    """Uniform PA positions along the waveguide, shape (N, 3).
 
     The n-th PA (n = 1..N) sits at x = n * room_length / (N + 1), y = 0,
     z = waveguide_height, so the N apertures split the waveguide span into
     N + 1 equal gaps.
     """
     n = scenario.n_pas
-    step = scenario.room_length / (n + 1)
-    return [Point3(i * step, 0.0, scenario.waveguide_height) for i in range(1, n + 1)]
+    pas = np.zeros((n, 3))
+    pas[:, 0] = np.arange(1, n + 1) * (scenario.room_length / (n + 1))
+    pas[:, 2] = scenario.waveguide_height
+    return pas
 
 
-def feed_position(scenario: Scenario) -> Point3:
+def feed_position(scenario: Scenario) -> np.ndarray:
     """Waveguide feed point: the x = 0 end of the waveguide, at its height."""
-    return Point3(0.0, 0.0, scenario.waveguide_height)
+    return np.array([0.0, 0.0, scenario.waveguide_height])
 
 
-def center_pa_position(scenario: Scenario) -> Point3:
+def center_pa_position(scenario: Scenario) -> np.ndarray:
     """Position of a single PA placed at the center of the room span."""
-    return Point3(scenario.room_length / 2.0, 0.0, scenario.waveguide_height)
+    return np.array([scenario.room_length / 2.0, 0.0, scenario.waveguide_height])
 
 
-def sample_users(scenario: Scenario, rng: np.random.Generator) -> list[Point3]:
-    """Draw user positions uniformly on the floor.
+def sample_users(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Draw user positions uniformly on the floor, shape (M, 3).
 
     x ~ U[0, room_length], y ~ U[-room_width/2, room_width/2], z = 0.
-    Users are drawn one at a time (x then y) so that a draw of M users is a
-    prefix of a draw of M' > M users from the same stream; this is what makes
-    common-random-number comparisons across user counts possible.
+    The uniforms are consumed row by row (x then y of each user), so a draw
+    of M users is a prefix of a draw of M' > M users from the same stream;
+    this is what makes common-random-number comparisons across user counts
+    possible.
     """
     half_w = scenario.room_width / 2.0
-    users = []
-    for _ in range(scenario.n_users):
-        x = rng.uniform(0.0, scenario.room_length)
-        y = rng.uniform(-half_w, half_w)
-        users.append(Point3(x, y, 0.0))
+    users = np.zeros((scenario.n_users, 3))
+    users[:, :2] = rng.uniform(
+        [0.0, -half_w], [scenario.room_length, half_w], size=(scenario.n_users, 2)
+    )
     return users
 
 
-def los_probability(user: Point3, pa: Point3, blockage_density: float) -> float:
+def los_probability(user, pa, blockage_density: float) -> float:
     """Probability of an unobstructed LoS link: exp(-beta * distance)."""
-    return float(los_probability_matrix([user], [pa], blockage_density)[0, 0])
+    return float(los_probability_matrix(user, pa, blockage_density)[0, 0])
 
 
-def los_probability_matrix(
-    users: list[Point3], pas: list[Point3], blockage_density: float
-) -> np.ndarray:
+def los_probability_matrix(users, pas, blockage_density: float) -> np.ndarray:
     """LoS probabilities for every user/PA pair, shape (M, N)."""
     if blockage_density < 0:
         raise ValueError("blockage_density must be >= 0")
     return np.exp(-blockage_density * distance_matrix(users, pas))
 
 
-def sample_blockage(
-    scenario: Scenario,
-    users: list[Point3],
-    pas: list[Point3],
-    rng: np.random.Generator,
-) -> np.ndarray:
+def sample_blockage(scenario: Scenario, users, pas, rng: np.random.Generator) -> np.ndarray:
     """Draw the binary LoS indicator matrix, shape (M, N), entries in {0, 1}.
 
     Each link is an independent Bernoulli draw with the exponential LoS

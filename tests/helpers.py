@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from pinchsim.channel import ChannelGrid, ChannelRealization
+from pinchsim.channel import ChannelGrid, ChannelRealization, link_gain
 from pinchsim.frame import FrameDesign
-from pinchsim.geometry import Point3, Scenario
+from pinchsim.geometry import Scenario
 
 
 def synthetic_realization(gains, delays):
@@ -12,10 +12,59 @@ def synthetic_realization(gains, delays):
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     delays = np.atleast_2d(np.asarray(delays, dtype=float))
     m, n = gains.shape
-    users = [Point3(float(i), 0.0, 0.0) for i in range(m)]
-    pas = [Point3(float(j), 0.0, 3.0) for j in range(n)]
+    users = np.zeros((m, 3))
+    users[:, 0] = np.arange(m)
+    pas = np.zeros((n, 3))
+    pas[:, 0], pas[:, 2] = np.arange(n), 3.0
     los = (np.abs(gains) > 0).astype(np.int8)
-    return ChannelRealization(users, pas, Point3(0, 0, 3.0), los, gains, delays)
+    return ChannelRealization(users, pas, np.array([0.0, 0.0, 3.0]), los, gains, delays)
+
+
+def reference_sample_users(scenario, rng):
+    """User positions drawn one at a time, x then y, as 3-tuples: the draw
+    that `pinchsim.geometry.sample_users` must match bit for bit."""
+    half_w = scenario.room_width / 2.0
+    users = []
+    for _ in range(scenario.n_users):
+        x = rng.uniform(0.0, scenario.room_length)
+        y = rng.uniform(-half_w, half_w)
+        users.append((x, y, 0.0))
+    return users
+
+
+def _active_delay_rows(realization):
+    """Each user's unblocked tap delays, skipping users with none."""
+    for m in range(realization.n_users):
+        delays = realization.tap_delays[m][realization.los[m] != 0]
+        if delays.size:
+            yield delays
+
+
+def reference_max_excess_delay(realization):
+    """Per-user loop over the unblocked delays: the oracle of
+    `pinchsim.frame.max_excess_delay`."""
+    worst = 0.0
+    for delays in _active_delay_rows(realization):
+        worst = max(worst, float(delays.max() - delays.min()))
+    return worst
+
+
+def reference_rms_delay_spread(realization):
+    """Per-user loop over the unblocked delays: the oracle of
+    `pinchsim.frame.rms_delay_spread`."""
+    worst = 0.0
+    for delays in _active_delay_rows(realization):
+        worst = max(worst, float(np.sqrt(np.mean((delays - delays.mean()) ** 2))))
+    return worst
+
+
+def reference_single_pa_rate(user, center_pa, alpha, scenario):
+    """Full-band rate of one user (a 3-tuple) served alone by the center PA,
+    from the scalar link gain: the per-user oracle of
+    `pinchsim.baselines.standalone_rate_single_pa`."""
+    gain = link_gain(user, center_pa, alpha, scenario.carrier_freq)
+    snr = abs(gain) ** 2 * scenario.tx_power / scenario.noise_power
+    return scenario.bandwidth * float(np.log2(1.0 + snr))
 
 
 def dtft_oracle(gains, delays, f_offset, dt=1e-12):

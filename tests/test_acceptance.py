@@ -25,7 +25,7 @@ from pinchsim.experiments import (
     run_sweep,
 )
 from pinchsim.frame import design_frame
-from pinchsim.geometry import Point3, Scenario, sample_users
+from pinchsim.geometry import Scenario, sample_users
 
 from helpers import (
     dtft_oracle,
@@ -56,10 +56,10 @@ def spearman(x, y):
 def test_1_composite_delay_walkthrough():
     # 3 m of guided path at n_e = 1.4 plus 3 m of free space: about 14 ns,
     # 10 ns and 24 ns, within 2 percent of those round numbers.
-    feed = Point3(0, 0, 0)
-    guided = composite_delay(Point3(3, 0, 0), Point3(3, 0, 0), feed, 1.4)
-    free = composite_delay(Point3(3, 0, 0), feed, feed, 1.4)
-    total = composite_delay(Point3(6, 0, 0), Point3(3, 0, 0), feed, 1.4)
+    feed = (0, 0, 0)
+    guided = composite_delay((3, 0, 0), (3, 0, 0), feed, 1.4)
+    free = composite_delay((3, 0, 0), feed, feed, 1.4)
+    total = composite_delay((6, 0, 0), (3, 0, 0), feed, 1.4)
     ok = (
         abs(guided - 14e-9) <= 0.02 * 14e-9
         and abs(free - 10e-9) <= 0.02 * 10e-9

@@ -22,22 +22,20 @@ from pinchsim.channel import (
 )
 from pinchsim.frame import design_frame
 from pinchsim.geometry import (
-    Point3,
     Scenario,
     center_pa_position,
+    sample_blockage,
     sample_users,
 )
 
-from helpers import make_frame, unit_scenario
+from helpers import make_frame, reference_single_pa_rate, unit_scenario
 
 
 class TestStandaloneRateSinglePa:
     def test_blocked_is_zero(self):
         sc = Scenario(n_pas=1, n_users=1)
-        rate = standalone_rate_single_pa(
-            Point3(10, 2, 0), center_pa_position(sc), 0, sc
-        )
-        assert rate == 0.0
+        rates = standalone_rate_single_pa([(10, 2, 0), (20, -1, 0)], [0, 1], sc)
+        assert rates[0] == 0.0 and rates[1] > 0.0
 
     def test_unit_snr_gives_bandwidth(self):
         # Pick the noise so |h|^2 P_t / noise_power = 1: rate = B * log2(2).
@@ -47,8 +45,8 @@ class TestStandaloneRateSinglePa:
             n_pas=1, n_users=1, carrier_freq=fc, tx_power=pt,
             noise_power=eta / 9.0 * pt, bandwidth=500e6,
         )
-        user = Point3(15.0, 0.0, 0.0)  # 3 m below the center PA
-        rate = standalone_rate_single_pa(user, center_pa_position(sc), 1, sc)
+        user = (15.0, 0.0, 0.0)  # 3 m below the center PA
+        (rate,) = standalone_rate_single_pa(user, [1], sc)
         assert rate == pytest.approx(sc.bandwidth, rel=1e-12)
 
     def test_scalar_cross_check(self):
@@ -57,10 +55,31 @@ class TestStandaloneRateSinglePa:
             n_pas=1, n_users=1, carrier_freq=28e9, tx_power=0.1,
             noise_power=1e-12, bandwidth=500e6,
         )
-        user = Point3(15.0, 0.0, 0.0)
-        rate = standalone_rate_single_pa(user, center_pa_position(sc), 1, sc)
+        (rate,) = standalone_rate_single_pa([(15.0, 0.0, 0.0)], [1], sc)
         snr = (path_loss_constant(28e9) / 9.0) * 0.1 / 1e-12
         assert rate == pytest.approx(500e6 * math.log2(1 + snr), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    beta=st.sampled_from([0.0, 0.05, 0.5, 5.0]),
+    tx_power=st.floats(1e-4, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_single_pa_rates_match_per_user_scalar_calls(m, beta, tx_power, seed):
+    """The (M,) rates have the bits of one scalar link_gain call per user."""
+    sc = Scenario(n_pas=1, n_users=m, blockage_density=beta, tx_power=tx_power)
+    rng = np.random.default_rng(seed)
+    users = sample_users(sc, rng)
+    center = center_pa_position(sc)
+    alpha = sample_blockage(sc, users, [center], rng)[:, 0]
+    rates = standalone_rate_single_pa(users, alpha, sc)
+    expected = [
+        reference_single_pa_rate(tuple(u), tuple(center), int(a), sc)
+        for u, a in zip(users.tolist(), alpha)
+    ]
+    assert [r.hex() for r in rates.tolist()] == [e.hex() for e in expected]
 
 
 class TestMaxminTimeShares:
@@ -201,9 +220,7 @@ class TestBaselineMinRates:
         single, _ = baseline_min_rates(
             realization, grid, frame, sc, np.array([1], dtype=np.int8)
         )
-        expected = standalone_rate_single_pa(
-            users[0], center_pa_position(sc), 1, sc
-        )
+        (expected,) = standalone_rate_single_pa(users, [1], sc)
         assert single == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_outputs(self):

@@ -19,7 +19,6 @@ from pinchsim.channel import (
 )
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import (
-    Point3,
     Scenario,
     feed_position,
     los_probability,
@@ -60,51 +59,51 @@ class TestPathLossConstant:
 
 class TestLinkGain:
     def test_blocked_link_is_zero(self):
-        g = link_gain(Point3(0, 0, 0), Point3(2, 0, 3), 0, 28e9)
+        g = link_gain((0, 0, 0), (2, 0, 3), 0, 28e9)
         assert g == 0j
 
     def test_magnitude_below_pa(self):
         # User directly under a PA 3 m up: magnitude sqrt(eta) / 3.
-        g = link_gain(Point3(5, 0, 0), Point3(5, 0, 3.0), 1, 28e9)
+        g = link_gain((5, 0, 0), (5, 0, 3.0), 1, 28e9)
         assert abs(g) == pytest.approx(2.840086404307704e-4, rel=1e-12)
 
     def test_phase_wraps_at_integer_wavelengths(self):
         fc = 28e9
         lam = C / fc
-        g = link_gain(Point3(0, 0, 0), Point3(100 * lam, 0, 0), 1, fc)
+        g = link_gain((0, 0, 0), (100 * lam, 0, 0), 1, fc)
         assert abs(math.atan2(g.imag, g.real)) < 1e-9
 
     def test_rejects_zero_distance(self):
-        p = Point3(1, 1, 1)
+        p = (1, 1, 1)
         with pytest.raises(ValueError):
             link_gain(p, p, 1, 28e9)
 
 
 class TestWaveguidePhase:
     def test_at_feed_is_unity(self):
-        p = Point3(0, 0, 3.0)
+        p = (0, 0, 3.0)
         assert waveguide_phase(p, p, 28e9, 1.4) == 1 + 0j
 
     def test_unit_magnitude(self):
-        feed = Point3(0, 0, 3.0)
+        feed = (0, 0, 3.0)
         for x in (0.1, 1.0, 7.7, 29.9):
-            w = waveguide_phase(Point3(x, 0, 3.0), feed, 28e9, 1.4)
+            w = waveguide_phase((x, 0, 3.0), feed, 28e9, 1.4)
             assert abs(abs(w) - 1.0) < 1e-12
 
     def test_half_guided_wavelength_flips_sign(self):
         fc, ne = 28e9, 1.4
         guided_lam = C / fc / ne
-        w = waveguide_phase(Point3(guided_lam / 2, 0, 3.0), Point3(0, 0, 3.0), fc, ne)
+        w = waveguide_phase((guided_lam / 2, 0, 3.0), (0, 0, 3.0), fc, ne)
         assert abs(w - (-1.0)) < 1e-9
 
 
 class TestCompositeDelay:
     def test_three_meter_excess_paths(self):
         # 3 m of waveguide at n_e = 1.4 and 3 m of free space.
-        feed = Point3(0, 0, 0)
-        guided_only = composite_delay(Point3(3, 0, 0), Point3(3, 0, 0), feed, 1.4)
-        free_only = composite_delay(Point3(3, 0, 0), feed, feed, 1.4)
-        both = composite_delay(Point3(6, 0, 0), Point3(3, 0, 0), feed, 1.4)
+        feed = (0, 0, 0)
+        guided_only = composite_delay((3, 0, 0), (3, 0, 0), feed, 1.4)
+        free_only = composite_delay((3, 0, 0), feed, feed, 1.4)
+        both = composite_delay((6, 0, 0), (3, 0, 0), feed, 1.4)
         assert guided_only == pytest.approx(1.4 * 3 / C, rel=1e-15)
         assert free_only == pytest.approx(3 / C, rel=1e-15)
         assert both == pytest.approx(guided_only + free_only, rel=1e-15)
@@ -114,13 +113,13 @@ class TestCompositeDelay:
         assert both == pytest.approx(24e-9, rel=0.02)
 
     def test_coincident_points_give_zero(self):
-        p = Point3(2, 2, 2)
+        p = (2, 2, 2)
         assert composite_delay(p, p, p, 1.4) == 0.0
 
     def test_linear_in_path_lengths(self):
-        feed = Point3(0, 0, 0)
-        d1 = composite_delay(Point3(4, 0, 0), Point3(2, 0, 0), feed, 1.4)
-        d2 = composite_delay(Point3(8, 0, 0), Point3(4, 0, 0), feed, 1.4)
+        feed = (0, 0, 0)
+        d1 = composite_delay((4, 0, 0), (2, 0, 0), feed, 1.4)
+        d2 = composite_delay((8, 0, 0), (4, 0, 0), feed, 1.4)
         assert d2 == pytest.approx(2 * d1, rel=1e-14)
 
 
@@ -143,7 +142,7 @@ class TestBuildRealization:
         users = sample_users(sc, np.random.default_rng(1))
         r = build_realization(sc, users, np.ones((2, 1), dtype=np.int8))
         assert r.tap_gains.shape == (2, 1)
-        assert r.tap(0, 0).gain == r.tap_gains[0, 0]
+        assert np.all(r.tap_gains != 0)
 
     def test_tap_gain_is_product_of_factors(self):
         sc = self.scenario()
@@ -175,9 +174,7 @@ class TestBuildRealization:
         pas = pa_positions(sc)
         sqrt_eta = math.sqrt(path_loss_constant(sc.carrier_freq))
         for m, u in enumerate(users):
-            min_dist = min(
-                math.dist((u.x, u.y, u.z), (p.x, p.y, p.z)) for p in pas
-            )
+            min_dist = min(math.dist(u, p) for p in pas)
             assert np.all(np.abs(r.tap_gains[m]) <= sqrt_eta / min_dist + 1e-18)
 
     def test_shape_mismatch_rejected(self):

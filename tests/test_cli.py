@@ -222,6 +222,8 @@ BAD_NUMBERS = [
     (["sweep-n", "--tx-power-dbm", "inf"], "--tx-power-dbm"),
     (["trace-drop", "--seed", "1", "--index", "0", "--beta", "-1"], "--beta"),
     (["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "nan"], "--tx-power-dbm"),
+    (["sweep-power", "--power-values", "0,inf"], "--power-values"),
+    (["sweep-n", "--beta-values", "inf"], "--beta-values"),
 ]
 
 

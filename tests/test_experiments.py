@@ -100,6 +100,8 @@ class TestExperimentConfig:
             (dict(refractive_index=0.9), "refractive_index must be finite and >= 1"),
             (dict(noise_dbm=float("-inf")), "noise_dbm must be finite"),
             (dict(tx_power_dbm=float("nan")), "tx_power_dbm must be finite"),
+            (dict(axis="tx_power", axis_values=(0, float("inf"))), "transmit powers must be finite"),
+            (dict(beta_values=(0.05, float("inf"))), "beta_values must be >= 0 and finite"),
         ],
     )
     def test_rejects_invalid_values(self, kw, message):
@@ -409,6 +411,7 @@ class TestLoadConfig:
             ("bandwidth = -5", ": bandwidth must be finite and > 0"),
             ("refractive_index = 0.5", ": refractive_index must be finite and >= 1"),
             ("tx_power_dbm = inf", ": tx_power_dbm must be finite"),
+            ("axis = tx_power\naxis_values = 0, inf", ": transmit powers must be finite"),
         ],
     )
     def test_bad_value_names_the_file(self, tmp_path, line, message):

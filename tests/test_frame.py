@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pinchsim.channel import build_realization
 from pinchsim.frame import (
     FLAT_FALLBACK_SUBCARRIERS,
     FrameDesign,
@@ -10,9 +13,13 @@ from pinchsim.frame import (
     max_excess_delay,
     rms_delay_spread,
 )
-from pinchsim.geometry import Scenario
+from pinchsim.geometry import Scenario, pa_positions, sample_blockage, sample_users
 
-from helpers import synthetic_realization
+from helpers import (
+    reference_max_excess_delay,
+    reference_rms_delay_spread,
+    synthetic_realization,
+)
 
 
 def scenario(bandwidth=500e6, **kw):
@@ -86,6 +93,30 @@ class TestRmsDelaySpread:
         r = synthetic_realization(np.ones((1, 3), dtype=complex), delays)
         expected = np.sqrt(np.mean((delays[0] - delays[0].mean()) ** 2))
         assert rms_delay_spread(r) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 30),
+    beta=st.sampled_from([0.0, 0.05, 0.5, 5.0]),
+    links=st.sampled_from(["drawn", "all_blocked", "one_per_user"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_delay_statistics_match_per_user_loops(m, n, beta, links, seed):
+    """Both delay statistics have the bits of the per-user loops on drawn
+    rooms, on total blockage and with a single active tap per user."""
+    sc = Scenario(n_pas=n, n_users=m, blockage_density=beta)
+    rng = np.random.default_rng(seed)
+    users = sample_users(sc, rng)
+    los = sample_blockage(sc, users, pa_positions(sc), rng)
+    if links != "drawn":
+        los[:] = 0
+    if links == "one_per_user":
+        los[np.arange(m), rng.integers(0, n, size=m)] = 1
+    r = build_realization(sc, users, los)
+    assert max_excess_delay(r).hex() == reference_max_excess_delay(r).hex()
+    assert rms_delay_spread(r).hex() == reference_rms_delay_spread(r).hex()
 
 
 class TestDesignFrame:

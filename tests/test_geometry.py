@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim.geometry import (
-    Point3,
     Scenario,
     center_pa_position,
     distance,
+    distance_matrix,
     feed_position,
     los_probability,
     los_probability_matrix,
@@ -17,6 +19,8 @@ from pinchsim.geometry import (
     sample_blockage,
     sample_users,
 )
+
+from helpers import reference_sample_users
 
 
 def make_scenario(**kw):
@@ -43,6 +47,16 @@ class TestScenario:
             {"bandwidth": 0.0},
             {"tx_power": 0.0},
             {"noise_power": 0.0},
+            {"blockage_density": float("nan")},
+            {"room_length": float("nan")},
+            {"room_width": float("inf")},
+            {"waveguide_height": float("inf")},
+            {"carrier_freq": float("nan")},
+            {"refractive_index": float("nan")},
+            {"blockage_density": float("inf")},
+            {"bandwidth": float("inf")},
+            {"tx_power": float("nan")},
+            {"noise_power": float("-inf")},
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -53,28 +67,23 @@ class TestScenario:
         sc = make_scenario(noise_power=1e-12, bandwidth=500e6)
         assert sc.noise_psd == 1e-12 / 500e6
 
-    def test_point3_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point3(0.0, float("nan"), 0.0)
-
 
 class TestPaPositions:
     def test_two_pas_split_30m_span(self):
         pas = pa_positions(make_scenario(n_pas=2, room_length=30.0))
-        assert [p.x for p in pas] == [10.0, 20.0]
-        assert all(p.y == 0.0 and p.z == 3.0 for p in pas)
+        assert np.array_equal(pas, [[10.0, 0.0, 3.0], [20.0, 0.0, 3.0]])
 
     def test_single_pa_at_midspan(self):
         (pa,) = pa_positions(make_scenario(n_pas=1, room_length=30.0))
-        assert pa.x == 15.0
+        assert pa[0] == 15.0
 
     def test_five_pas(self):
         pas = pa_positions(make_scenario(n_pas=5, room_length=30.0))
-        assert [p.x for p in pas] == [5.0, 10.0, 15.0, 20.0, 25.0]
+        assert pas[:, 0].tolist() == [5.0, 10.0, 15.0, 20.0, 25.0]
 
     def test_equal_spacing(self):
         sc = make_scenario(n_pas=7, room_length=23.7)
-        xs = np.array([p.x for p in pa_positions(sc)])
+        xs = pa_positions(sc)[:, 0]
         gaps = np.diff(np.concatenate([[0.0], xs, [sc.room_length]]))
         expected = sc.room_length / (sc.n_pas + 1)
         assert np.all(np.abs(gaps - expected) <= 1e-12 * expected)
@@ -83,74 +92,89 @@ class TestPaPositions:
 
 class TestFeedPosition:
     def test_at_origin_end_of_waveguide(self):
-        assert feed_position(make_scenario(waveguide_height=3.0)) == Point3(0, 0, 3.0)
-        assert feed_position(make_scenario(waveguide_height=5.0)) == Point3(0, 0, 5.0)
+        assert np.array_equal(feed_position(make_scenario(waveguide_height=3.0)), (0, 0, 3.0))
+        assert np.array_equal(feed_position(make_scenario(waveguide_height=5.0)), (0, 0, 5.0))
 
     def test_z_equals_waveguide_height(self):
         for d in (0.5, 2.0, 3.0, 7.25):
-            assert feed_position(make_scenario(waveguide_height=d)).z == d
+            assert feed_position(make_scenario(waveguide_height=d))[2] == d
 
     def test_center_pa_position(self):
         sc = make_scenario(room_length=30.0, waveguide_height=3.0)
-        assert center_pa_position(sc) == Point3(15.0, 0.0, 3.0)
+        assert np.array_equal(center_pa_position(sc), (15.0, 0.0, 3.0))
 
 
 class TestSampleUsers:
     def test_bounds(self):
         sc = make_scenario(n_users=200, room_length=30.0, room_width=10.0)
         users = sample_users(sc, np.random.default_rng(3))
-        assert len(users) == 200
-        for u in users:
-            assert 0.0 <= u.x <= 30.0
-            assert -5.0 <= u.y <= 5.0
-            assert u.z == 0.0
+        assert users.shape == (200, 3)
+        assert np.all((0.0 <= users[:, 0]) & (users[:, 0] <= 30.0))
+        assert np.all((-5.0 <= users[:, 1]) & (users[:, 1] <= 5.0))
+        assert np.all(users[:, 2] == 0.0)
 
     def test_same_seed_same_positions(self):
         sc = make_scenario(n_users=5)
         a = sample_users(sc, np.random.default_rng(11))
         b = sample_users(sc, np.random.default_rng(11))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_mean_of_many_draws(self):
         # Law of large numbers on Uniform[0, 30]: mean within 15 +/- 0.1.
         sc = make_scenario(n_users=100_000, room_length=30.0)
         users = sample_users(sc, np.random.default_rng(7))
-        assert abs(np.mean([u.x for u in users]) - 15.0) < 0.1
+        assert abs(np.mean(users[:, 0]) - 15.0) < 0.1
 
     def test_prefix_property_across_user_counts(self):
         # A draw of 2 users is a prefix of a draw of 4 from the same stream.
         two = sample_users(make_scenario(n_users=2), np.random.default_rng(5))
         four = sample_users(make_scenario(n_users=4), np.random.default_rng(5))
-        assert four[:2] == two
+        assert np.array_equal(four[:2], two)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    room_length=st.floats(1.0, 100.0),
+    room_width=st.floats(1.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_users_matches_one_at_a_time_draw(m, room_length, room_width, seed):
+    """The single (M, 2) uniform draw has the bits of M scalar (x, y) draws
+    and consumes the same uniforms from the stream."""
+    sc = make_scenario(n_users=m, room_length=room_length, room_width=room_width)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(sample_users(sc, rng), reference_sample_users(sc, ref_rng))
+    assert rng.random() == ref_rng.random()
 
 
 class TestLosProbability:
     def test_zero_distance(self):
-        p = Point3(1.0, 2.0, 3.0)
+        p = (1.0, 2.0, 3.0)
         assert los_probability(p, p, 0.3) == 1.0
 
     def test_scalar_value(self):
-        u, pa = Point3(0, 0, 0), Point3(20.0, 0, 0)
+        u, pa = (0, 0, 0), (20.0, 0, 0)
         assert los_probability(u, pa, 0.05) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_beta_zero_always_one(self):
-        u, pa = Point3(0, 0, 0), Point3(123.0, -4.0, 9.0)
+        u, pa = (0, 0, 0), (123.0, -4.0, 9.0)
         assert los_probability(u, pa, 0.0) == 1.0
 
     def test_monotone_in_distance_and_beta(self):
-        u = Point3(0, 0, 0)
+        u = (0, 0, 0)
         dists = [1.0, 2.0, 5.0, 10.0, 25.0]
         betas = [0.0, 0.02, 0.05, 0.15, 0.5]
         for beta in betas:
-            probs = [los_probability(u, Point3(d, 0, 0), beta) for d in dists]
+            probs = [los_probability(u, (d, 0, 0), beta) for d in dists]
             assert all(a >= b for a, b in zip(probs, probs[1:]))
         for d in dists:
-            probs = [los_probability(u, Point3(d, 0, 0), beta) for beta in betas]
+            probs = [los_probability(u, (d, 0, 0), beta) for beta in betas]
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            los_probability(Point3(0, 0, 0), Point3(1, 0, 0), -0.1)
+            los_probability((0, 0, 0), (1, 0, 0), -0.1)
 
 
 class TestSampleBlockage:
@@ -170,7 +194,7 @@ class TestSampleBlockage:
 
     def test_empirical_frequency_matches_closed_form(self):
         sc = make_scenario(n_pas=2, n_users=2, blockage_density=0.05)
-        users = [Point3(5.0, 2.0, 0.0), Point3(22.0, -4.0, 0.0)]
+        users = np.array([[5.0, 2.0, 0.0], [22.0, -4.0, 0.0]])
         pas = pa_positions(sc)
         probs = los_probability_matrix(users, pas, sc.blockage_density)
         rng = np.random.default_rng(42)
@@ -197,4 +221,25 @@ class TestSampleBlockage:
 
 
 def test_distance_is_euclidean():
-    assert distance(Point3(0, 0, 0), Point3(3.0, 4.0, 0.0)) == 5.0
+    assert distance((0, 0, 0), (3.0, 4.0, 0.0)) == 5.0
+
+
+_POINTS = np.array([[3.0, 4.0, 0.0], [1.0, -2.0, 2.5], [7.5, 0.25, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [_POINTS[1], _POINTS, list(_POINTS)],
+    ids=["point", "array", "list_of_points"],
+)
+def test_distance_matrix_call_shapes(points):
+    """A (3,) point counts as one row; (n, 3) arrays and lists of (3,) points
+    give one row per point. Every entry has the bits of the one-pair call."""
+    origin = (0.0, 0.0, 3.0)
+    rows = np.asarray(points).reshape(-1, 3)
+    d = distance_matrix(points, origin)
+    assert d.shape == (len(rows), 1)
+    assert np.array_equal(d.T, distance_matrix(origin, points))
+    for i, p in enumerate(rows):
+        assert d[i, 0].hex() == distance(tuple(p), origin).hex()
+        assert d[i, 0] == pytest.approx(math.dist(p, origin), rel=1e-15)
