@@ -10,7 +10,10 @@ with a two-stage heuristic:
            preference order is static, so it is sorted once and the stage
            costs O(K log K + K M);
   stage 2  with the assignment fixed, each user water-fills an equal share
-           of the power budget over its own tones.
+           of the power budget over its own tones; all users in one call.
+
+Only the greedy increments and the water-filling read the transmit power;
+the rest is a ToneTerms record shared by all power levels on one channel.
 
 A brute-force enumerator over all assignments (same per-user power policy)
 is provided as an optimality reference for small instances.
@@ -19,6 +22,7 @@ is provided as an optimality reference for small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +65,11 @@ def gain_grid(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario) -> np.n
     hence the extra N in the denominator. Units are 1/W, so gain * power is
     the tone SNR.
     """
-    return np.abs(grid.h) ** 2 / (
-        scenario.n_pas * frame.subcarrier_spacing * scenario.noise_psd
-    )
+    return _per_watt(np.abs(grid.h) ** 2, frame, scenario)
+
+
+def _per_watt(gains_sq, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
+    return gains_sq / (scenario.n_pas * frame.subcarrier_spacing * scenario.noise_psd)
 
 
 def user_rate(
@@ -102,6 +108,27 @@ def _channel_advantage(gains_sq: np.ndarray) -> np.ndarray:
     return gamma
 
 
+class ToneTerms(NamedTuple):
+    """The power-free terms of the allocation on one channel."""
+
+    gains_sq: np.ndarray  # (M, K) |H|^2
+    gains: np.ndarray  # (M, K) per-watt SNR slopes, as gain_grid
+    prefs: list  # per user, its tones in greedy's preference order
+    usable: list  # per user, its count of positive-gain tones
+
+
+def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) -> ToneTerms:
+    """ToneTerms of a channel from its squared magnitudes; reads no tx_power."""
+    tones = np.arange(gains_sq.shape[1])
+    gamma = _channel_advantage(gains_sq)
+    # Tone order per user: advantage desc, own gain desc, index asc.
+    prefs = [
+        memoryview(np.lexsort((tones, -row, -adv))) for row, adv in zip(gains_sq, gamma)
+    ]
+    usable = (gains_sq > 0.0).sum(axis=1).tolist()
+    return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs, usable)
+
+
 def greedy_assign(
     gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario
 ) -> np.ndarray:
@@ -130,20 +157,20 @@ def greedy_assign(
     does. So each user sorts its tones once and walks a cursor past taken
     ones, and the cost is O(K log K + K M) instead of a rescan per step.
     """
+    return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario)
+
+
+def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
+    """greedy_assign on a channel's ToneTerms; only the increments read tx_power."""
+    gains_sq, prefs = terms.gains_sq, terms.prefs
     m_users, k_tones = gains_sq.shape
-    gamma = _channel_advantage(gains_sq)
     # Equal-power provisional SNR per unit |H|^2: P_t / (N0 delta_f N K)
     snr_slope = scenario.tx_power / (
         scenario.noise_psd * frame.subcarrier_spacing * scenario.n_pas * k_tones
     )
     eff_df = frame.cp_efficiency * frame.subcarrier_spacing
     increments = eff_df * np.log2(1.0 + gains_sq * snr_slope)
-    tones = np.arange(k_tones)
-    # Tone order per user: advantage desc, own gain desc, index asc.
-    prefs = [
-        memoryview(np.lexsort((tones, -gains_sq[m], -gamma[m]))) for m in range(m_users)
-    ]
-    usable_left = (gains_sq > 0.0).sum(axis=1).tolist()
+    usable_left = list(terms.usable)
     cursor = [0] * m_users
     provisional = [0.0] * m_users
     active = list(range(m_users))
@@ -168,7 +195,7 @@ def greedy_assign(
         for m in active:
             usable_left[m] -= gains_sq.item(m, k_star) > 0.0
     assignment = np.zeros((m_users, k_tones), dtype=np.int8)
-    assignment[owner, tones] = 1
+    assignment[owner, np.arange(k_tones)] = 1
     return assignment
 
 
@@ -183,60 +210,64 @@ def waterfill(gains, budget: float):
 
     Parameters
     ----------
-    gains : array of per-watt SNR slopes, 1/W, entries >= 0.
+    gains : (K,) per-watt SNR slopes, 1/W, entries >= 0, or (M, K) rows of
+        them, each water-filled with the whole budget.
     budget : total power to spend, watts, >= 0.
 
     Returns
     -------
     (powers, level) : loads per channel summing to the budget on the
-        positive-gain channels, and the water level mu. Channels with zero
-        gain always get zero power. If no channel can carry power the loads
-        are all zero and the level is nan (budget unusable).
+        positive-gain channels, and the water level mu (a float, or (M,)
+        for (M, K) gains). Channels with zero gain always get zero power. If
+        no channel can carry power the loads are all zero and the level is
+        nan (budget unusable).
     """
     gains = np.asarray(gains, dtype=float)
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if np.any(gains < 0):
+    if (gains < 0).any():
         raise ValueError("gains must be >= 0")
-    powers = np.zeros_like(gains)
-    positive = np.flatnonzero(gains > 0)
-    if positive.size == 0:
-        return powers, float("nan")
-
-    breakpoints = 1.0 / gains[positive]
-    order = np.argsort(breakpoints)
-    sorted_bp = breakpoints[order]
-    levels = (budget + np.cumsum(sorted_bp)) / np.arange(1, positive.size + 1)
-    feasible = np.flatnonzero(levels > sorted_bp)
-    if feasible.size == 0:
-        # Zero budget: water sits exactly at the lowest breakpoint.
-        return powers, float(sorted_bp[0])
-    j = int(feasible[-1])
-    level = float(levels[j])
-    active = positive[order[: j + 1]]
-    powers[active] = level - 1.0 / gains[active]
+    rows = np.atleast_2d(gains)
+    powers = np.zeros_like(rows)
+    counts = (rows > 0).sum(axis=1)
+    width = counts.max(initial=0)
+    level = np.full(rows.shape[0], np.nan)
+    if width:
+        # Each row's largest gains, descending: its positive channels first,
+        # then zeros. Their breakpoints ascend, and a zero's is +inf and never
+        # feasible, so a row's cumsum sums over its own channels alone.
+        desc = np.sort(rows, axis=1)[:, : -width - 1 : -1]
+        with np.errstate(divide="ignore"):
+            sorted_bp = 1.0 / desc
+        levels = (budget + np.cumsum(sorted_bp, axis=1)) / np.arange(1, width + 1)
+        j = np.where(levels > sorted_bp, np.arange(width), -1).max(axis=1)
+        r = np.arange(rows.shape[0])
+        # Without a feasible j (zero budget) water sits at the lowest breakpoint.
+        lowest = np.where(j >= 0, levels[r, j], sorted_bp[:, 0])
+        level = np.where(counts > 0, lowest, np.nan)
+        active = rows >= np.where(j >= 0, desc[r, j], np.inf)[:, None]
+        np.divide(1.0, rows, out=powers, where=active)
+        np.subtract(level[:, None], powers, out=powers, where=active)
+    if gains.ndim == 1:
+        return powers[0], float(level[0])
     return powers, level
 
 
 def allocate(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario) -> Allocation:
     """Run both stages on a channel grid: greedy assignment, then per-user
     water-filling of an equal share P_t / M of the power budget."""
-    gains_sq = np.abs(grid.h) ** 2
-    assignment = greedy_assign(gains_sq, frame, scenario)
-    gains = gain_grid(grid, frame, scenario)
+    return _allocate_terms(_tone_terms(np.abs(grid.h) ** 2, frame, scenario), frame, scenario)
 
-    m_users = grid.n_users
-    budget = scenario.tx_power / m_users
-    power = np.zeros_like(gains)
-    rates = np.zeros(m_users)
-    unusable = np.zeros(m_users, dtype=bool)
-    for m in range(m_users):
-        tones = np.flatnonzero(assignment[m] == 1)
-        loads, level = waterfill(gains[m, tones], budget)
-        power[m, tones] = loads
-        unusable[m] = budget > 0 and (tones.size == 0 or np.isnan(level))
-        rates[m] = user_rate(assignment[m], power[m], gains[m], frame)
-    return Allocation(assignment, power, rates, unusable)
+
+def _allocate_terms(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> Allocation:
+    """allocate on a channel's ToneTerms. Every user water-fills its share
+    over its own tones in one call: another user's tones get zero gain."""
+    assignment = _greedy(terms, frame, scenario)
+    budget = scenario.tx_power / assignment.shape[0]
+    power, levels = waterfill(assignment * terms.gains, budget)
+    spectral = np.log2(1.0 + terms.gains * power)
+    rates = frame.cp_efficiency * frame.subcarrier_spacing * np.sum(assignment * spectral, axis=1)
+    return Allocation(assignment, power, rates, (budget > 0) & np.isnan(levels))
 
 
 def min_rate(allocation: Allocation) -> float:

@@ -10,6 +10,9 @@ Two benchmarks against the OFDMA allocator:
 Both share the slot max-min optimally: the time fractions equalize the
 users' weighted rates, which makes the minimum rate the harmonic-sum value
 1 / sum(1/r_m).
+
+Only the SNRs read the transmit power: the |H|^2 and the single-PA |h|^2 are
+built once per channel, and each power level serves all users in array calls.
 """
 
 from __future__ import annotations
@@ -40,16 +43,26 @@ class TimeShares:
     min_rate: float  # bits/s
 
 
+def _center_gains_sq(users, alpha, scenario: Scenario) -> np.ndarray:
+    """|h_m|^2, shape (M,), of (M, 3) users toward the center PA, with alpha
+    the (M,) LoS indicators (0 on a blocked link); reads no tx_power."""
+    dist = distance_matrix(users, center_pa_position(scenario))[:, 0]
+    gains = _link_gains(dist, np.asarray(alpha), scenario.carrier_freq)
+    # abs per user: np.abs can differ from the scalar abs in the last bit.
+    return np.array([abs(g) ** 2 for g in gains.tolist()])
+
+
 def standalone_rate_single_pa(users, alpha, scenario: Scenario) -> np.ndarray:
     """Full-band rates, shape (M,), of (M, 3) users each served alone by the
     center PA all slot: B * log2(1 + alpha_m |h_m|^2 P_t / noise_power), with
     alpha the (M,) LoS indicators; a blocked link yields 0.
     """
-    dist = distance_matrix(users, center_pa_position(scenario))[:, 0]
-    gains = _link_gains(dist, np.asarray(alpha), scenario.carrier_freq)
-    # abs and log2 per user, in this order: the array forms can differ in the last bit.
-    snr = [abs(g) ** 2 * scenario.tx_power / scenario.noise_power for g in gains.tolist()]
-    return scenario.bandwidth * np.array([float(np.log2(1.0 + x)) for x in snr])
+    return _single_pa_rates(_center_gains_sq(users, alpha, scenario), scenario)
+
+
+def _single_pa_rates(gains_sq: np.ndarray, scenario: Scenario) -> np.ndarray:
+    snr = gains_sq * scenario.tx_power / scenario.noise_power
+    return scenario.bandwidth * np.log2(1.0 + snr)
 
 
 def maxmin_time_shares(standalone_rates) -> TimeShares:
@@ -61,27 +74,28 @@ def maxmin_time_shares(standalone_rates) -> TimeShares:
     the uniform split is returned as the (arbitrary) fallback.
     """
     rates = np.asarray(standalone_rates, dtype=float)
-    if np.any(rates < 0):
+    if (rates < 0).any():
         raise ValueError("standalone rates must be >= 0")
     m_users = rates.size
-    if np.any(rates == 0.0):
+    if (rates == 0.0).any():
         return TimeShares(np.full(m_users, 1.0 / m_users), 0.0)
     inv = 1.0 / rates
     total_inv = inv.sum()
     return TimeShares(inv / total_inv, float(1.0 / total_inv))
 
 
-def sc_fde_effective_snr(gammas) -> float:
+def sc_fde_effective_snr(gammas):
     """Post-equalization SNR of MMSE frequency-domain equalization.
 
     K / sum_k 1/(gamma_k + 1) - 1: the harmonic-type contraction of the
     per-tone SNRs. Equals gamma exactly on a flat channel and 0 when every
-    tone is dead.
+    tone is dead. (K,) SNRs give a float, (M, K) ones an (M,) array.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if np.any(gammas < 0):
+    if (gammas < 0).any():
         raise ValueError("per-tone SNRs must be >= 0")
-    return float(gammas.size / np.sum(1.0 / (gammas + 1.0)) - 1.0)
+    snr = gammas.shape[-1] / np.sum(1.0 / (gammas + 1.0), axis=-1) - 1.0
+    return float(snr) if gammas.ndim == 1 else snr
 
 
 def sc_fde_standalone_rate(
@@ -93,16 +107,19 @@ def sc_fde_standalone_rate(
     gamma_k = |H_k|^2 * P_t / (N * K * N0 * delta_f). The CP overhead of the
     shared frame applies, so the rate is cp_efficiency * B * log2(1 + SNR).
     """
-    k_tones = h_row.size
+    return float(_sc_fde_rates(np.abs(h_row) ** 2, frame, scenario))
+
+
+def _sc_fde_rates(gains_sq, frame: FrameDesign, scenario: Scenario):
+    """sc_fde_standalone_rate from |H|^2 of one user, (K,), or of all, (M, K)."""
+    k_tones = gains_sq.shape[-1]
     gammas = (
-        np.abs(h_row) ** 2
+        gains_sq
         * scenario.tx_power
         / (scenario.n_pas * k_tones * scenario.noise_psd * frame.subcarrier_spacing)
     )
     snr_eff = sc_fde_effective_snr(gammas)
-    return float(
-        frame.cp_efficiency * scenario.bandwidth * np.log2(1.0 + snr_eff)
-    )
+    return frame.cp_efficiency * scenario.bandwidth * np.log2(1.0 + snr_eff)
 
 
 def baseline_min_rates(
@@ -121,12 +138,13 @@ def baseline_min_rates(
 
     Returns (single_pa_min_rate, sc_fde_min_rate) in bits/s.
     """
-    single_rates = standalone_rate_single_pa(realization.users, center_alpha, scenario)
-    sc_fde_rates = [
-        sc_fde_standalone_rate(grid.h[m], frame, scenario)
-        for m in range(grid.n_users)
-    ]
+    center_sq = _center_gains_sq(realization.users, center_alpha, scenario)
+    return _tdma_min_rates(center_sq, np.abs(grid.h) ** 2, frame, scenario)
+
+
+def _tdma_min_rates(center_sq, gains_sq, frame: FrameDesign, scenario: Scenario):
+    """baseline_min_rates from the (M,) single-PA |h|^2 and (M, K) |H|^2."""
     return (
-        maxmin_time_shares(single_rates).min_rate,
-        maxmin_time_shares(sc_fde_rates).min_rate,
+        maxmin_time_shares(_single_pa_rates(center_sq, scenario)).min_rate,
+        maxmin_time_shares(_sc_fde_rates(gains_sq, frame, scenario)).min_rate,
     )

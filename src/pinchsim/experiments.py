@@ -11,8 +11,9 @@ doubled-drop run an extension of the shorter one.
 A sweep's unit of work is one (user count, blockage density) and one
 contiguous chunk of drops, run at every axis value. Only the allocation and
 the TDMA baselines read the transmit power, so each drop's channel (users,
-blockage, taps, frame, grid) is built once and shared across power levels;
-the bits are those of separate run_drop calls. Parallel sweeps run these jobs
+blockage, taps, frame, grid, and the power-free terms of the allocation and
+the baselines) is built once and shared across power levels; the bits are
+those of separate run_drop calls. Parallel sweeps run these jobs
 in worker processes, byte-identical for any count.
 """
 
@@ -22,13 +23,14 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-from .alloc import allocate, min_rate
-from .baselines import baseline_min_rates
-from .channel import build_realization, channel_grid
-from .frame import design_frame
+from .alloc import ToneTerms, _allocate_terms, _tone_terms, min_rate
+from .baselines import _center_gains_sq, _tdma_min_rates
+from .channel import ChannelGrid, ChannelRealization, build_realization, channel_grid
+from .frame import FrameDesign, design_frame
 from .geometry import (
     Scenario,
     center_pa_position,
@@ -171,10 +173,21 @@ def drop_rngs(master_seed: int, drop_index: int):
     )
 
 
-def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int):
-    """The power-free half of a drop: users, blockage, taps, frame and grid.
-    None of these stages reads tx_power, so one channel serves every power
-    level. Returns (realization, frame, grid, center_alpha)."""
+class DropChannel(NamedTuple):
+    """The power-free half of a drop, built by _drop_channel."""
+
+    realization: ChannelRealization
+    frame: FrameDesign
+    grid: ChannelGrid
+    center_alpha: np.ndarray  # (M,) LoS toward the single-PA baseline's PA
+    tones: ToneTerms  # its gains_sq is also the SC-FDE baseline's |H|^2
+    center_sq: np.ndarray  # (M,) single-PA |h|^2
+
+
+def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int) -> DropChannel:
+    """The power-free half of a drop: users, blockage, taps, frame, grid and
+    the power-free terms of the allocation and the baselines. None of these
+    reads tx_power, so one channel serves every power level."""
     rng_users, rng_block, rng_center = drop_rngs(master_seed, drop_index)
     users = sample_users(scenario, rng_users)
     pas = pa_positions(scenario)
@@ -185,16 +198,17 @@ def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int):
     center_alpha = sample_blockage(
         scenario, users, [center_pa_position(scenario)], rng_center
     )[:, 0]
-    return realization, frame, grid, center_alpha
+    tones = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
+    center_sq = _center_gains_sq(users, center_alpha, scenario)
+    return DropChannel(realization, frame, grid, center_alpha, tones, center_sq)
 
 
-def _drop_rates(scenario: Scenario, channel):
+def _drop_rates(scenario: Scenario, channel: DropChannel):
     """The rates half of a drop on a channel from _drop_channel: run_drop's
     (ofdma, single_pa, sc_fde) minimum rates and the allocation."""
-    realization, frame, grid, center_alpha = channel
-    allocation = allocate(grid, frame, scenario)
-    single_pa, sc_fde = baseline_min_rates(
-        realization, grid, frame, scenario, center_alpha
+    allocation = _allocate_terms(channel.tones, channel.frame, scenario)
+    single_pa, sc_fde = _tdma_min_rates(
+        channel.center_sq, channel.tones.gains_sq, channel.frame, scenario
     )
     return (min_rate(allocation), single_pa, sc_fde), allocation
 
@@ -418,7 +432,7 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
     plain JSON-ready data."""
     channel = _drop_channel(scenario, master_seed, drop_index)
     (ofdma, single_pa, sc_fde), allocation = _drop_rates(scenario, channel)
-    realization, frame, grid, center_alpha = channel
+    realization, frame, grid = channel.realization, channel.frame, channel.grid
     magnitudes = np.abs(grid.h)
     return {
         "master_seed": master_seed,
@@ -462,5 +476,5 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
             "min_rate_bps": ofdma,
         },
         "baseline_min_rates_bps": {"single_pa": single_pa, "sc_fde": sc_fde},
-        "center_pa_alpha": center_alpha.tolist(),
+        "center_pa_alpha": channel.center_alpha.tolist(),
     }

@@ -37,9 +37,11 @@ def distance_matrix(a, b) -> np.ndarray:
     single (3,) point, which counts as n = 1. Squares are added x, y, z in
     that order, so every entry has the same bits whatever the shape of the
     call."""
-    a = np.asarray(a, dtype=float).reshape(-1, 3)
-    b = np.asarray(b, dtype=float).reshape(-1, 3)
-    sq = (a[:, None, :] - b[None, :, :]) ** 2
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for x in (a, b):  # a transposed (3, n) array is an error, not n points
+        if x.ndim not in (1, 2) or x.shape[-1] != 3:
+            raise ValueError(f"expected a (3,) point or (n, 3) points, got shape {x.shape}")
+    sq = (a.reshape(-1, 1, 3) - b.reshape(1, -1, 3)) ** 2
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 

@@ -1,10 +1,14 @@
-"""Shared builders for synthetic channels and frames used across tests."""
+"""Shared builders for synthetic channels and frames used across tests, and
+the per-user loops that the array code must match bit for bit."""
 
 import numpy as np
+from hypothesis import strategies as st
 
+from pinchsim.alloc import Allocation, gain_grid, user_rate
+from pinchsim.baselines import maxmin_time_shares
 from pinchsim.channel import ChannelGrid, ChannelRealization, link_gain
 from pinchsim.frame import FrameDesign
-from pinchsim.geometry import Scenario
+from pinchsim.geometry import Scenario, center_pa_position
 
 
 def synthetic_realization(gains, delays):
@@ -180,3 +184,96 @@ def reference_greedy_assign(gains_sq, frame, scenario):
             1.0 + gains_sq[m_star, k_star] * snr_slope
         )
     return assignment
+
+
+@st.composite
+def gain_instances(draw):
+    """(M, K) |H|^2 grids, M in 1..5 and K in 1..64 (so M > K occurs), from a
+    small discrete set that forces ties and dead tones, or from a continuous
+    law with a share of zeros; optionally one all-zero row and column."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 64))
+    element = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+            ]
+        )
+    )
+    gains_sq = np.array(draw(st.lists(element, min_size=m * k, max_size=m * k)))
+    gains_sq = gains_sq.reshape(m, k)
+    dead_row = draw(st.none() | st.integers(0, m - 1))
+    dead_col = draw(st.none() | st.integers(0, k - 1))
+    if dead_row is not None:
+        gains_sq[dead_row] = 0.0
+    if dead_col is not None:
+        gains_sq[:, dead_col] = 0.0
+    return gains_sq
+
+
+def reference_waterfill(gains, budget):
+    """Water-filling of one (K,) gain vector over its positive channels,
+    sorted by breakpoint: the per-row oracle of `pinchsim.alloc.waterfill`."""
+    gains = np.asarray(gains, dtype=float)
+    powers = np.zeros_like(gains)
+    positive = np.flatnonzero(gains > 0)
+    if positive.size == 0:
+        return powers, float("nan")
+    breakpoints = 1.0 / gains[positive]
+    order = np.argsort(breakpoints)
+    sorted_bp = breakpoints[order]
+    levels = (budget + np.cumsum(sorted_bp)) / np.arange(1, positive.size + 1)
+    feasible = np.flatnonzero(levels > sorted_bp)
+    if feasible.size == 0:
+        return powers, float(sorted_bp[0])
+    j = int(feasible[-1])
+    level = float(levels[j])
+    active = positive[order[: j + 1]]
+    powers[active] = level - 1.0 / gains[active]
+    return powers, level
+
+
+def reference_allocate(grid, frame, scenario):
+    """Rescanning greedy assignment, then one water-filling call and one rate
+    sum per user over its own tones: the per-user oracle of
+    `pinchsim.alloc.allocate`."""
+    assignment = reference_greedy_assign(np.abs(grid.h) ** 2, frame, scenario)
+    gains = gain_grid(grid, frame, scenario)
+    m_users = grid.n_users
+    budget = scenario.tx_power / m_users
+    power = np.zeros_like(gains)
+    rates = np.zeros(m_users)
+    unusable = np.zeros(m_users, dtype=bool)
+    for m in range(m_users):
+        tones = np.flatnonzero(assignment[m] == 1)
+        loads, level = reference_waterfill(gains[m, tones], budget)
+        power[m, tones] = loads
+        unusable[m] = budget > 0 and (tones.size == 0 or np.isnan(level))
+        rates[m] = user_rate(assignment[m], power[m], gains[m], frame)
+    return Allocation(assignment, power, rates, unusable)
+
+
+def reference_sc_fde_rate(h_row, frame, scenario):
+    """SC-FDE rate of one user from its (K,) channel row: the per-user oracle
+    of `pinchsim.baselines.sc_fde_standalone_rate` and its (M, K) form."""
+    k_tones = h_row.size
+    gammas = (
+        np.abs(h_row) ** 2
+        * scenario.tx_power
+        / (scenario.n_pas * k_tones * scenario.noise_psd * frame.subcarrier_spacing)
+    )
+    snr_eff = float(gammas.size / np.sum(1.0 / (gammas + 1.0)) - 1.0)
+    return float(frame.cp_efficiency * scenario.bandwidth * np.log2(1.0 + snr_eff))
+
+
+def reference_baseline_min_rates(realization, grid, frame, scenario, center_alpha):
+    """Both TDMA minimum rates from one scalar rate call per user: the oracle
+    of `pinchsim.baselines.baseline_min_rates`."""
+    center = tuple(center_pa_position(scenario))
+    single = [
+        reference_single_pa_rate(tuple(u), center, int(a), scenario)
+        for u, a in zip(realization.users.tolist(), center_alpha)
+    ]
+    sc_fde = [reference_sc_fde_rate(h_row, frame, scenario) for h_row in grid.h]
+    return maxmin_time_shares(single).min_rate, maxmin_time_shares(sc_fde).min_rate

@@ -1,6 +1,7 @@
 """Greedy subcarrier assignment, water-filling and the exhaustive reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from pinchsim.alloc import (
     Allocation,
+    _allocate_terms,
     _channel_advantage,
+    _tone_terms,
     allocate,
     exhaustive_oracle,
     gain_grid,
@@ -18,13 +21,17 @@ from pinchsim.alloc import (
     user_rate,
     waterfill,
 )
+from pinchsim.geometry import Scenario
 
 from helpers import (
+    gain_instances,
     grid_from_h,
     make_frame,
     random_grid,
+    reference_allocate,
     reference_channel_advantage,
     reference_greedy_assign,
+    reference_waterfill,
     unit_scenario,
 )
 
@@ -131,32 +138,6 @@ class TestGreedyAssign:
         gains_sq = np.array([[9.0, 4.0], [9.0, 0.0]])
         b = greedy_assign(gains_sq, frame, scenario)
         assert b[0, 1] == 1 and b[1, 0] == 1
-
-
-@st.composite
-def gain_instances(draw):
-    """(M, K) |H|^2 grids, M in 1..5 and K in 1..64 (so M > K occurs), from a
-    small discrete set that forces ties and dead tones, or from a continuous
-    law with a share of zeros; optionally one all-zero row and column."""
-    m = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 64))
-    element = draw(
-        st.sampled_from(
-            [
-                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
-            ]
-        )
-    )
-    gains_sq = np.array(draw(st.lists(element, min_size=m * k, max_size=m * k)))
-    gains_sq = gains_sq.reshape(m, k)
-    dead_row = draw(st.none() | st.integers(0, m - 1))
-    dead_col = draw(st.none() | st.integers(0, k - 1))
-    if dead_row is not None:
-        gains_sq[dead_row] = 0.0
-    if dead_col is not None:
-        gains_sq[:, dead_col] = 0.0
-    return gains_sq
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,6 +291,51 @@ def test_waterfill_kkt(gains, budget):
     assert np.allclose(p[active] + 1.0 / gains[active], level, rtol=1e-12, atol=0.0)
     idle = positive & ~active
     assert np.all(1.0 / gains[idle] >= level * (1.0 - 1e-12))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gains=gain_instances(),
+    budget=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+)
+def test_batched_waterfill_equals_per_row_calls(gains, budget):
+    """Water-filling the rows of an (M, K) array in one call gives, row by
+    row, the bits of a 1-D call and of the sorted-breakpoint loop."""
+    powers, levels = waterfill(gains, budget)
+    assert powers.shape == gains.shape and levels.shape == (gains.shape[0],)
+    for row, p, level in zip(gains, powers, levels):
+        for p_1d, level_1d in (waterfill(row, budget), reference_waterfill(row, budget)):
+            assert np.array_equal(_bits(p), _bits(p_1d))
+            assert float(level).hex() == level_1d.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gains_sq=gain_instances(),
+    scale=st.sampled_from([1.0, 1e-7]),
+    tx_powers=st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=4),
+)
+def test_allocate_equals_per_user_reference(gains_sq, scale, tx_powers):
+    """One ToneTerms record, reused at several transmit powers, gives at each
+    the bits of the per-user loop: greedy, then one water-filling call and
+    one rate sum per user. The public allocate agrees as well."""
+    grid = grid_from_h(scale * np.sqrt(gains_sq))
+    frame = make_frame(k=64, bandwidth=20e6, cp_duration=1e-8)
+    scenario = Scenario(n_pas=3, n_users=gains_sq.shape[0], bandwidth=20e6)
+    terms = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
+    for tx_power in tx_powers:
+        sc = replace(scenario, tx_power=tx_power)
+        got = _allocate_terms(terms, frame, sc)
+        want = reference_allocate(grid, frame, sc)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.array_equal(_bits(got.power), _bits(want.power))
+        assert np.array_equal(_bits(got.rates), _bits(want.rates))
+        assert np.array_equal(got.unusable_budget, want.unusable_budget)
+        assert np.array_equal(_bits(allocate(grid, frame, sc).rates), _bits(want.rates))
 
 
 class TestAllocate:

@@ -15,6 +15,7 @@ from pinchsim.baselines import (
     sc_fde_standalone_rate,
     standalone_rate_single_pa,
 )
+from pinchsim.baselines import _sc_fde_rates
 from pinchsim.channel import (
     build_realization,
     channel_grid,
@@ -28,7 +29,13 @@ from pinchsim.geometry import (
     sample_users,
 )
 
-from helpers import make_frame, reference_single_pa_rate, unit_scenario
+from helpers import (
+    gain_instances,
+    make_frame,
+    reference_sc_fde_rate,
+    reference_single_pa_rate,
+    unit_scenario,
+)
 
 
 class TestStandaloneRateSinglePa:
@@ -167,6 +174,25 @@ def test_sc_fde_effective_snr_properties(gammas, tone, boost):
     better = gammas.copy()
     better[tone % gammas.size] += boost
     assert sc_fde_effective_snr(better) >= eff
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gains_sq=gain_instances(),
+    scale=st.sampled_from([1.0, 1e-7]),
+    tx_powers=st.lists(st.floats(1e-4, 100.0), min_size=1, max_size=4),
+)
+def test_sc_fde_rates_match_per_user_calls(gains_sq, scale, tx_powers):
+    """The SC-FDE rates of all M users, from one (M, K) expression, have at
+    every power the bits of one per-user call per row; so has the public
+    one-user rate."""
+    h = scale * np.sqrt(gains_sq)
+    frame = make_frame(k=64, bandwidth=20e6, cp_duration=1e-8)
+    for tx_power in tx_powers:
+        sc = Scenario(n_pas=3, n_users=h.shape[0], bandwidth=20e6, tx_power=tx_power)
+        want = [reference_sc_fde_rate(row, frame, sc).hex() for row in h]
+        assert [r.hex() for r in _sc_fde_rates(np.abs(h) ** 2, frame, sc).tolist()] == want
+        assert [sc_fde_standalone_rate(row, frame, sc).hex() for row in h] == want
 
 
 class TestScFdeStandaloneRate:

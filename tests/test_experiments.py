@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchsim import experiments
+from pinchsim import alloc, experiments
+from pinchsim.alloc import min_rate
 from pinchsim.experiments import (
     SCHEMES,
     ExperimentConfig,
@@ -26,8 +28,10 @@ from pinchsim.experiments import (
     trace_drop,
     watts_to_dbm,
 )
-from pinchsim.experiments import _chunks, _drop_chunk
+from pinchsim.experiments import _chunks, _drop_channel, _drop_chunk, _drop_rates
 from pinchsim.geometry import Scenario
+
+from helpers import reference_allocate, reference_baseline_min_rates
 
 
 def small_config(**kw):
@@ -187,22 +191,29 @@ class TestRunSweep:
             run_sweep(cfg, threads=2)
 
     def test_channel_built_once_per_drop_across_power_levels(self, monkeypatch):
-        grids = []
-        real = experiments.channel_grid
+        """The grid and the allocation's power-free terms (the channel
+        advantage and the tone orders) are built once per channel."""
+        grids, advantages = [], []
+        for module, name, calls in (
+            (experiments, "channel_grid", grids),
+            (alloc, "_channel_advantage", advantages),
+        ):
+            def counting(*args, real=getattr(module, name), calls=calls):
+                calls.append(args)
+                return real(*args)
 
-        def counting(*args):
-            grids.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(experiments, "channel_grid", counting)
+            monkeypatch.setattr(module, name, counting)
         lists = dict(m_values=(1, 2), beta_values=(0.05, 0.3), drops=2)
         power = small_config(axis="tx_power", axis_values=(0.0, 10.0, 20.0), **lists)
         run_sweep(power, threads=1)
         assert len(grids) == 2 * 2 * 2  # M x beta x drops: one per drop, not per level
+        assert len(advantages) == 2 * 2 * 2
         grids.clear()
+        advantages.clear()
         counts = small_config(axis_values=(2, 3, 4), **lists)
         run_sweep(counts, threads=1)
         assert len(grids) == 3 * 2 * 2 * 2  # every PA count needs its own channel
+        assert len(advantages) == 3 * 2 * 2 * 2
 
     def test_point_count_and_order(self):
         cfg = small_config(axis_values=(2, 3), m_values=(1, 2), beta_values=(0.05, 0.1))
@@ -290,6 +301,36 @@ def test_drop_major_sweep_equals_per_point_drops(
             point = result.point(scheme, value, m, beta)
             assert point.mean_min_rate.hex() == float(means[s]).hex()
             assert point.stderr.hex() == float(stderrs[s]).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n_pas=st.sampled_from([1, 5, 30]),
+    beta=st.sampled_from([0.0, 0.05, 0.5]),
+    bandwidth=st.sampled_from([20e6, 100e6]),
+    seed=st.integers(0, 1000),
+    drop=st.integers(0, 100),
+)
+def test_rates_half_equals_per_user_reference_on_real_drops(
+    m, n_pas, beta, bandwidth, seed, drop
+):
+    """On one drop's channel, shared by every power level as in a sweep, each
+    minimum rate has the bits of the per-user loops: greedy, water-filling
+    and rate sum per user, and one scalar baseline rate per user."""
+    scenario = Scenario(n_pas=n_pas, n_users=m, blockage_density=beta, bandwidth=bandwidth)
+    channel = _drop_channel(scenario, seed, drop)
+    for dbm in (-10.0, 0.0, 10.0, 20.0, 30.0):
+        sc = replace(scenario, tx_power=dbm_to_watts(dbm))
+        (ofdma, single_pa, sc_fde), allocation = _drop_rates(sc, channel)
+        want = reference_allocate(channel.grid, channel.frame, sc)
+        assert np.array_equal(allocation.power.view(np.uint64), want.power.view(np.uint64))
+        assert ofdma.hex() == min_rate(want).hex()
+        want_single, want_sc_fde = reference_baseline_min_rates(
+            channel.realization, channel.grid, channel.frame, sc, channel.center_alpha
+        )
+        assert single_pa.hex() == want_single.hex()
+        assert sc_fde.hex() == want_sc_fde.hex()
 
 
 class TestEmitCsv:

@@ -1,6 +1,7 @@
 """Geometry, user sampling and blockage draws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,8 +230,8 @@ _POINTS = np.array([[3.0, 4.0, 0.0], [1.0, -2.0, 2.5], [7.5, 0.25, -1.0]])
 
 @pytest.mark.parametrize(
     "points",
-    [_POINTS[1], _POINTS, list(_POINTS)],
-    ids=["point", "array", "list_of_points"],
+    [_POINTS[1], _POINTS, _POINTS[:1], list(_POINTS)],
+    ids=["point", "array", "one_row", "list_of_points"],
 )
 def test_distance_matrix_call_shapes(points):
     """A (3,) point counts as one row; (n, 3) arrays and lists of (3,) points
@@ -243,3 +244,17 @@ def test_distance_matrix_call_shapes(points):
     for i, p in enumerate(rows):
         assert d[i, 0].hex() == distance(tuple(p), origin).hex()
         assert d[i, 0] == pytest.approx(math.dist(p, origin), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 4), (2, 6), (6,), (4,), (0,), (2, 2, 3), ()],
+    ids=["transposed", "six_columns", "flat_pair", "four_vector", "empty", "three_d", "scalar"],
+)
+def test_distance_matrix_rejects_points_without_three_coordinates(shape):
+    """Only a last axis of 3 is a point: a (3, n) transposed array or a flat
+    run of coordinates is an error naming its shape, not scrambled points."""
+    bad = np.arange(float(np.prod(shape, dtype=int))).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        distance_matrix(bad, (0.0, 0.0, 3.0))
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        distance_matrix(_POINTS, bad)
