@@ -15,8 +15,8 @@ with a two-stage heuristic:
 Only the greedy increments and the water-filling read the transmit power;
 the rest is a ToneTerms record shared by all power levels on one channel.
 
-A brute-force enumerator over all assignments (same per-user power policy)
-is provided as an optimality reference for small instances.
+A brute-force enumerator over all assignments, on the same water-filling
+and rate code, is the optimality reference for small instances.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ __all__ = [
     "min_rate",
     "exhaustive_oracle",
 ]
+
+# Largest instance exhaustive_oracle enumerates: 3^12 = 531441 assignments.
+ORACLE_MAX_USERS = 3
+ORACLE_MAX_TONES = 12
 
 
 @dataclass
@@ -77,17 +81,15 @@ def user_rate(
     power_row: np.ndarray,
     gain_row: np.ndarray,
     frame: FrameDesign,
-) -> float:
-    """Achievable rate of one user over its assigned tones, bits/s.
+):
+    """Achievable rate over the assigned tones, bits/s.
 
     cp_efficiency * delta_f * sum over assigned tones of log2(1 + gain * power).
+    (K,) rows give a float, (R, K) rows an (R,) array.
     """
     spectral = np.log2(1.0 + gain_row * power_row)
-    return float(
-        frame.cp_efficiency
-        * frame.subcarrier_spacing
-        * np.sum(assign_row * spectral)
-    )
+    rate = frame.cp_efficiency * frame.subcarrier_spacing * np.sum(assign_row * spectral, axis=-1)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def _channel_advantage(gains_sq: np.ndarray) -> np.ndarray:
@@ -265,8 +267,7 @@ def _allocate_terms(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) ->
     assignment = _greedy(terms, frame, scenario)
     budget = scenario.tx_power / assignment.shape[0]
     power, levels = waterfill(assignment * terms.gains, budget)
-    spectral = np.log2(1.0 + terms.gains * power)
-    rates = frame.cp_efficiency * frame.subcarrier_spacing * np.sum(assignment * spectral, axis=1)
+    rates = user_rate(assignment, power, terms.gains, frame)
     return Allocation(assignment, power, rates, (budget > 0) & np.isnan(levels))
 
 
@@ -275,13 +276,7 @@ def min_rate(allocation: Allocation) -> float:
     return float(np.min(allocation.rates))
 
 
-def exhaustive_oracle(
-    grid: ChannelGrid,
-    frame: FrameDesign,
-    scenario: Scenario,
-    max_tones: int = 12,
-    max_users: int = 3,
-):
+def exhaustive_oracle(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario):
     """Brute-force max-min reference over every tone-to-user assignment.
 
     Enumerates all M^K assignments (each tone owned by exactly one user),
@@ -291,45 +286,35 @@ def exhaustive_oracle(
     the problem restricted to the heuristic's equal per-user power split, so
     comparisons against the greedy stage isolate assignment quality.
 
-    Raises ValueError when the instance exceeds the enumeration limits.
+    Each user's rates on all 2^K tone subsets come from one waterfill and
+    one user_rate call over the subsets as rows: the allocator's own code.
+
+    Raises ValueError past ORACLE_MAX_USERS users or ORACLE_MAX_TONES tones.
     """
     m_users, k_tones = grid.n_users, grid.n_subcarriers
-    if k_tones > max_tones or m_users > max_users:
+    if k_tones > ORACLE_MAX_TONES or m_users > ORACLE_MAX_USERS:
         raise ValueError(
             f"instance {m_users} users x {k_tones} tones exceeds enumeration "
-            f"limits ({max_users} x {max_tones})"
+            f"limits ({ORACLE_MAX_USERS} x {ORACLE_MAX_TONES})"
         )
     gains = gain_grid(grid, frame, scenario)
     budget = scenario.tx_power / m_users
 
-    # Rate of each user on each tone subset, indexed by bitmask over tones.
-    table = np.zeros((m_users, 1 << k_tones))
+    # Row s of subsets holds the tones of bitmask s (tone k is bit k); row 0
+    # is the empty subset, whose rate is zero.
+    subsets = (np.arange(1 << k_tones)[:, None] >> np.arange(k_tones) & 1).astype(np.int8)
+    table = np.empty((m_users, 1 << k_tones))
     for m in range(m_users):
-        for mask in range(1, 1 << k_tones):
-            tones = [k for k in range(k_tones) if mask >> k & 1]
-            loads, _ = waterfill(gains[m, tones], budget)
-            assign_row = np.zeros(k_tones, dtype=np.int8)
-            assign_row[tones] = 1
-            power_row = np.zeros(k_tones)
-            power_row[tones] = loads
-            table[m, mask] = user_rate(assign_row, power_row, gains[m], frame)
+        power, _ = waterfill(subsets * gains[m], budget)
+        table[m] = user_rate(subsets, power, gains[m], frame)
 
-    # All assignments in lexicographic order: tone 0 is the most significant
-    # base-M digit, so index order equals assignment-vector order.
-    n_assign = m_users ** k_tones
-    index = np.arange(n_assign)
-    masks = np.zeros((m_users, n_assign), dtype=np.int64)
+    # Every user's tone bitmask under all assignments in lexicographic order:
+    # each tone appends a base-M digit, so tone 0 is the most significant
+    # and index order equals assignment-vector order.
+    masks = np.zeros((m_users, 1), dtype=np.intp)
+    owns = np.eye(m_users, dtype=np.intp)
     for k in range(k_tones):
-        digit = (index // m_users ** (k_tones - 1 - k)) % m_users
-        for m in range(m_users):
-            masks[m] |= (digit == m).astype(np.int64) << k
-    worst = np.min(
-        np.stack([table[m, masks[m]] for m in range(m_users)], axis=0), axis=0
-    )
+        masks = (masks[:, :, None] | owns[:, None, :] << k).reshape(m_users, -1)
+    worst = np.take_along_axis(table, masks, axis=1).min(axis=0)
     best_idx = int(np.argmax(worst))  # first maximum = lexicographically smallest
-
-    best_b = np.zeros((m_users, k_tones), dtype=np.int8)
-    for k in range(k_tones):
-        owner = (best_idx // m_users ** (k_tones - 1 - k)) % m_users
-        best_b[owner, k] = 1
-    return best_b, float(worst[best_idx])
+    return subsets[masks[:, best_idx]], float(worst[best_idx])

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 from .experiments import (
     ExperimentConfig,
+    _usable_dbm,
     emit_csv,
     emit_json,
     load_config,
@@ -58,15 +59,15 @@ def _nonnegative_float_list(text: str):
     return tuple(_nonnegative_float(t) for t in text.split(",") if t.strip())
 
 
-def _finite_float(text: str) -> float:
+def _dbm(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    if not _usable_dbm(value):
+        raise argparse.ArgumentTypeError(f"must be finite, with finite watts > 0, got {value}")
     return value
 
 
-def _finite_float_list(text: str):
-    return tuple(_finite_float(t) for t in text.split(",") if t.strip())
+def _dbm_list(text: str):
+    return tuple(_dbm(t) for t in text.split(",") if t.strip())
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-values", dest="axis_values", metavar="N_VALUES", type=_positive_int_list,
         help="PA counts, e.g. 5,10,15",
     )
-    p_n.add_argument("--tx-power-dbm", type=_finite_float, help="fixed transmit power, dBm")
+    p_n.add_argument("--tx-power-dbm", type=_dbm, help="fixed transmit power, dBm")
     p_n.set_defaults(
         func=_cmd_sweep, axis="pa_count", default_axis_values=ExperimentConfig().axis_values
     )
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_p)
     _add_sweep_flags(p_p)
     p_p.add_argument(
-        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_finite_float_list,
+        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_dbm_list,
         help="transmit powers in dBm, e.g. 0,10,20",
     )
     p_p.add_argument("--pa-count", type=_positive_int, help="fixed number of PAs")
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--n-pas", type=_positive_int, default=10)
     p_t.add_argument("--n-users", type=_positive_int, default=2)
     p_t.add_argument("--beta", type=_nonnegative_float, default=0.05)
-    p_t.add_argument("--tx-power-dbm", type=_finite_float)
+    p_t.add_argument("--tx-power-dbm", type=_dbm)
     p_t.add_argument("--out", help="write JSON here instead of stdout")
     p_t.set_defaults(func=_cmd_trace_drop)
 

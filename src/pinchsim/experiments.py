@@ -72,6 +72,14 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts / 1e-3)
 
 
+def _usable_dbm(dbm: float) -> bool:
+    """True when dbm converts to a finite, positive number of watts."""
+    try:
+        return 0.0 < dbm_to_watts(dbm) < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep definition plus the scenario constants shared by all points.
@@ -107,8 +115,10 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.axis_values:
             raise ValueError("axis_values must be nonempty")
-        if self.axis == "tx_power" and not all(map(math.isfinite, self.axis_values)):
-            raise ValueError(f"transmit powers must be finite, got {self.axis_values}")
+        if self.axis == "tx_power" and not all(map(_usable_dbm, self.axis_values)):
+            raise ValueError(
+                f"transmit powers must be finite, with finite watts > 0, got {self.axis_values}"
+            )
         if list(self.axis_values) != sorted(self.axis_values):
             raise ValueError("axis_values must be sorted ascending")
         if not self.m_values or not self.beta_values:
@@ -135,8 +145,9 @@ class ExperimentConfig:
         if not (math.isfinite(n_eff) and n_eff >= 1):
             raise ValueError(f"refractive_index must be finite and >= 1, got {n_eff}")
         for name in ("noise_dbm", "tx_power_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _usable_dbm(value):
+                raise ValueError(f"{name} must be finite, with finite watts > 0, got {value}")
 
 
 def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float) -> Scenario:

@@ -1,10 +1,12 @@
 """Shared builders for synthetic channels and frames used across tests, and
 the per-user loops that the array code must match bit for bit."""
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
-from pinchsim.alloc import Allocation, gain_grid, user_rate
+from pinchsim.alloc import Allocation, gain_grid
 from pinchsim.baselines import maxmin_time_shares
 from pinchsim.channel import ChannelGrid, ChannelRealization, link_gain
 from pinchsim.frame import FrameDesign
@@ -234,6 +236,22 @@ def reference_waterfill(gains, budget):
     return powers, level
 
 
+def reference_user_rate(assign_row, power_row, gain_row, frame):
+    """Rate of one user from its (K,) rows, summed inline: the per-user oracle
+    of `pinchsim.alloc.user_rate`, kept apart from the code it checks."""
+    spectral = np.log2(1.0 + gain_row * power_row)
+    return float(frame.cp_efficiency * frame.subcarrier_spacing * np.sum(assign_row * spectral))
+
+
+def _reference_user_fill(assign_row, gain_row, budget, frame):
+    """Water-fill one user's budget over its own tones: (power row, level, rate)."""
+    tones = np.flatnonzero(assign_row == 1)
+    loads, level = reference_waterfill(gain_row[tones], budget)
+    power = np.zeros_like(gain_row)
+    power[tones] = loads
+    return power, level, reference_user_rate(assign_row, power, gain_row, frame)
+
+
 def reference_allocate(grid, frame, scenario):
     """Rescanning greedy assignment, then one water-filling call and one rate
     sum per user over its own tones: the per-user oracle of
@@ -246,12 +264,30 @@ def reference_allocate(grid, frame, scenario):
     rates = np.zeros(m_users)
     unusable = np.zeros(m_users, dtype=bool)
     for m in range(m_users):
-        tones = np.flatnonzero(assignment[m] == 1)
-        loads, level = reference_waterfill(gains[m, tones], budget)
-        power[m, tones] = loads
-        unusable[m] = budget > 0 and (tones.size == 0 or np.isnan(level))
-        rates[m] = user_rate(assignment[m], power[m], gains[m], frame)
+        power[m], level, rates[m] = _reference_user_fill(assignment[m], gains[m], budget, frame)
+        unusable[m] = budget > 0 and np.isnan(level)
     return Allocation(assignment, power, rates, unusable)
+
+
+def reference_exhaustive_oracle(grid, frame, scenario):
+    """Every tone-to-user map in lexicographic order of its owner vector, each
+    user water-filled alone over its own tones: the first map with the largest
+    minimum rate and that rate. The per-assignment oracle of
+    `pinchsim.alloc.exhaustive_oracle`."""
+    gains = gain_grid(grid, frame, scenario)
+    m_users, k_tones = gains.shape
+    budget = scenario.tx_power / m_users
+    best, best_value = None, -np.inf
+    for owners in itertools.product(range(m_users), repeat=k_tones):
+        assignment = np.zeros((m_users, k_tones), dtype=np.int8)
+        assignment[list(owners), np.arange(k_tones)] = 1
+        value = min(
+            _reference_user_fill(assignment[m], gains[m], budget, frame)[2]
+            for m in range(m_users)
+        )
+        if value > best_value:
+            best, best_value = assignment, value
+    return best, best_value
 
 
 def reference_sc_fde_rate(h_row, frame, scenario):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinchsim.alloc
 from pinchsim.alloc import (
     Allocation,
     _allocate_terms,
@@ -30,7 +31,9 @@ from helpers import (
     random_grid,
     reference_allocate,
     reference_channel_advantage,
+    reference_exhaustive_oracle,
     reference_greedy_assign,
+    reference_user_rate,
     reference_waterfill,
     unit_scenario,
 )
@@ -83,6 +86,21 @@ class TestUserRate:
             np.array([1, 0]), np.array([1.0, 1.0]), np.array([1.0, 100.0]), frame
         )
         assert rate == pytest.approx(1.0, rel=1e-14)
+
+    def test_rows_equal_per_row_calls(self):
+        # (R, K) rows give (R,) rates, each the bits of its (K,) call and of
+        # the inline per-user sum.
+        rng = np.random.default_rng(4)
+        frame = make_frame(k=8, bandwidth=20e6, cp_duration=1e-8)
+        assign = (rng.random((5, 8)) < 0.5).astype(np.int8)
+        power = rng.random((5, 8)) * assign
+        gain = 10.0 ** rng.uniform(-3, 3, size=8)
+        rates = user_rate(assign, power, gain, frame)
+        assert isinstance(user_rate(assign[0], power[0], gain, frame), float)
+        assert rates.shape == (5,)
+        for a, p, rate in zip(assign, power, rates):
+            assert float(rate).hex() == user_rate(a, p, gain, frame).hex()
+            assert float(rate).hex() == reference_user_rate(a, p, gain, frame).hex()
 
 
 class TestGreedyAssign:
@@ -489,3 +507,63 @@ class TestExhaustiveOracle:
         grid4 = random_grid(np.random.default_rng(9), 4, 4)
         with pytest.raises(ValueError):
             exhaustive_oracle(grid4, frame4, scenario4)
+
+    @pytest.mark.parametrize("m, k", [(4, 4), (2, 13)])
+    def test_rejects_just_past_the_limits(self, m, k):
+        frame, scenario = unit_setup(m, k)
+        grid = random_grid(np.random.default_rng(10), m, k)
+        with pytest.raises(ValueError, match=r"limits \(3 x 12\)"):
+            exhaustive_oracle(grid, frame, scenario)
+
+    def test_accepts_largest_instance(self):
+        frame, scenario = unit_setup(3, 12)
+        grid = random_grid(np.random.default_rng(11), 3, 12, zero_fraction=0.1)
+        best_b, best_value = exhaustive_oracle(grid, frame, scenario)
+        assert best_b.shape == (3, 12) and np.all(best_b.sum(axis=0) == 1)
+        assert min_rate(allocate(grid, frame, scenario)) <= best_value
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_waterfill_call_per_user(self, m, monkeypatch):
+        calls = []
+
+        def counted(gains, budget):
+            calls.append(np.shape(gains))
+            return waterfill(gains, budget)
+
+        monkeypatch.setattr(pinchsim.alloc, "waterfill", counted)
+        frame, scenario = unit_setup(m, 6)
+        exhaustive_oracle(random_grid(np.random.default_rng(12), m, 6), frame, scenario)
+        assert calls == [(64, 6)] * m
+
+
+@st.composite
+def oracle_instances(draw):
+    """Tiny (M, K) |H|^2 grids, M <= 3 and K <= 4, with ties and zeros."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    element = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+            ]
+        )
+    )
+    return np.array(draw(st.lists(element, min_size=m * k, max_size=m * k))).reshape(m, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gains_sq=oracle_instances(),
+    tx_power=st.one_of(st.sampled_from([1e-300, 1e-12, 1e-6]), st.floats(1e-3, 1e3)),
+)
+def test_oracle_equals_assignment_by_assignment_reference(gains_sq, tx_power):
+    """The oracle picks the same assignment, with the same bits of its
+    minimum rate, as enumerating assignments one by one in lexicographic
+    order with one reference water-filling and one inline rate per user."""
+    m, k = gains_sq.shape
+    frame, scenario = unit_setup(m, k, tx_power=tx_power)
+    grid = grid_from_h(np.sqrt(gains_sq))
+    best_b, best_value = exhaustive_oracle(grid, frame, scenario)
+    want_b, want_value = reference_exhaustive_oracle(grid, frame, scenario)
+    assert np.array_equal(best_b, want_b) and best_b.dtype == want_b.dtype
+    assert best_value.hex() == want_value.hex()

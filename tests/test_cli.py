@@ -225,10 +225,21 @@ BAD_NUMBERS = [
     (["sweep-power", "--power-values", "0,inf"], "--power-values"),
     (["sweep-n", "--beta-values", "inf"], "--beta-values"),
 ]
+# dBm values whose watts overflow or underflow; the id carries the value.
+BAD_DBM = [
+    (["sweep-n", "--tx-power-dbm", "4000"], "--tx-power-dbm"),
+    (["sweep-n", "--tx-power-dbm", "-4000"], "--tx-power-dbm"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "4000"], "--tx-power-dbm"),
+    (["sweep-power", "--power-values", "-4000,0"], "--power-values"),
+    (["sweep-power", "--power-values", "0,4000"], "--power-values"),
+]
 
 
 @pytest.mark.parametrize(
-    "argv, flag", BAD_NUMBERS, ids=[f"{argv[0]}{flag}" for argv, flag in BAD_NUMBERS]
+    "argv, flag",
+    BAD_NUMBERS + BAD_DBM,
+    ids=[f"{argv[0]}{flag}" for argv, flag in BAD_NUMBERS]
+    + [f"{argv[0]}{flag}={argv[-1]}" for argv, flag in BAD_DBM],
 )
 def test_bad_numbers_rejected_naming_flag(tiny_config, tmp_path, capsys, argv, flag):
     out = tmp_path / "never.csv"

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-# greedy_vs_exhaustive and min_rate_sweep take seconds each; only their
-# imports are checked.
-FAST = ["channel_selectivity", "frame_design", "waterfilling"]
+# min_rate_sweep runs Monte Carlo sweeps; only its imports are checked.
+FAST = ["channel_selectivity", "frame_design", "greedy_vs_exhaustive", "waterfilling"]
 
 
 def pinchsim_imports(path):

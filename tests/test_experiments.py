@@ -106,6 +106,14 @@ class TestExperimentConfig:
             (dict(tx_power_dbm=float("nan")), "tx_power_dbm must be finite"),
             (dict(axis="tx_power", axis_values=(0, float("inf"))), "transmit powers must be finite"),
             (dict(beta_values=(0.05, float("inf"))), "beta_values must be >= 0 and finite"),
+            (dict(noise_dbm=-4000.0), "noise_dbm must be finite, with finite watts > 0"),
+            (dict(tx_power_dbm=4000.0), "tx_power_dbm must be finite, with finite watts > 0"),
+            (dict(tx_power_dbm=-4000.0), "tx_power_dbm must be finite, with finite watts > 0"),
+            (
+                dict(axis="tx_power", axis_values=(-4000.0, 0.0)),
+                "transmit powers must be finite, with finite watts > 0",
+            ),
+            (dict(axis="tx_power", axis_values=(0.0, 4000.0)), "transmit powers must be finite"),
         ],
     )
     def test_rejects_invalid_values(self, kw, message):
