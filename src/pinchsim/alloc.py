@@ -121,12 +121,10 @@ class ToneTerms(NamedTuple):
 
 def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) -> ToneTerms:
     """ToneTerms of a channel from its squared magnitudes; reads no tx_power."""
-    tones = np.arange(gains_sq.shape[1])
-    gamma = _channel_advantage(gains_sq)
+    tones = np.broadcast_to(np.arange(gains_sq.shape[1]), gains_sq.shape)
     # Tone order per user: advantage desc, own gain desc, index asc.
-    prefs = [
-        memoryview(np.lexsort((tones, -row, -adv))) for row, adv in zip(gains_sq, gamma)
-    ]
+    order = np.lexsort((tones, -gains_sq, -_channel_advantage(gains_sq)), axis=-1)
+    prefs = list(map(memoryview, order))
     usable = (gains_sq > 0.0).sum(axis=1).tolist()
     return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs, usable)
 

@@ -5,6 +5,11 @@ Subcommands:
   sweep-n      minimum rate versus PA count, flag overrides
   sweep-power  minimum rate versus transmit power, flag overrides
   trace-drop   dump one drop's channel, frame, grid and allocation as JSON
+
+A flag that sets an ExperimentConfig field stores under that field's name,
+so the config is the file (or the defaults) with every given flag replacing
+its field. A bad flag, config file or output path is a usage error (exit 2)
+before the first drop runs.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiments import (
     ExperimentConfig,
@@ -27,6 +33,8 @@ from .experiments import (
 )
 
 __all__ = ["main"]
+
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _int_at_least(text: str, minimum: int) -> int:
@@ -44,19 +52,11 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _positive_int_list(text: str):
-    return tuple(_positive_int(t) for t in text.split(",") if t.strip())
-
-
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
-
-
-def _nonnegative_float_list(text: str):
-    return tuple(_nonnegative_float(t) for t in text.split(",") if t.strip())
 
 
 def _dbm(text: str) -> float:
@@ -66,81 +66,56 @@ def _dbm(text: str) -> float:
     return value
 
 
-def _dbm_list(text: str):
-    return tuple(_dbm(t) for t in text.split(",") if t.strip())
+def _list_of(item):
+    """Argument type of a nonempty comma-separated list of item values."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(item(t) for t in text.split(",") if t.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
+
+    parse.__name__ = f"{item.__name__.lstrip('_')} list"
+    return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (flat key = value lines)")
-    parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--json", help="also write a JSON mirror here")
-    parser.add_argument("--seed", type=_nonnegative_int, help="master seed override")
-    parser.add_argument("--drops", type=_positive_int, help="Monte Carlo drops override")
-    parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker processes, >= 1"
-    )
+def _config(args) -> ExperimentConfig:
+    """The config file, or the defaults, with every given field flag replacing
+    its field; a command that switches the file's axis without values for it
+    sweeps its own default values. Any error in the file, the fields or the
+    output paths ends the run as a usage error."""
+    given = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    try:
+        config = load_config(args.config) if args.config else ExperimentConfig()
+        if given.get("axis", config.axis) != config.axis and "axis_values" not in given:
+            given["axis_values"] = args.default_axis_values
+        config = replace(config, **given)
+    except (ValueError, OSError) as exc:
+        args.error(str(exc))
+    for flag in ("out", "json"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not path or os.path.isdir(path) or not os.path.isdir(folder):
+            args.error(f"--{flag}: cannot write a file at {path}")
+    return config
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m-values", type=_positive_int_list, help="user counts, e.g. 2,4")
-    parser.add_argument(
-        "--beta-values", type=_nonnegative_float_list, help="blockage densities, e.g. 0.05,0.15"
-    )
-
-
-def _base_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.drops is not None:
-        overrides["drops"] = args.drops
-    if getattr(args, "m_values", None):
-        overrides["m_values"] = args.m_values
-    if getattr(args, "beta_values", None):
-        overrides["beta_values"] = args.beta_values
-    return replace(config, **overrides) if overrides else config
-
-
-def _run_and_emit(config: ExperimentConfig, args) -> None:
-    result = run_sweep(config, threads=args.threads)
+def _sweep(args) -> int:
+    result = run_sweep(_config(args), threads=args.threads)
     emit_csv(result, args.out)
     if args.json:
         emit_json(result, args.json)
     print(f"wrote {len(result.points)} rows to {args.out}")
-
-
-def _cmd_simulate(args) -> int:
-    if not args.config:
-        raise SystemExit("simulate requires --config")
-    _run_and_emit(_base_config(args), args)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    """sweep-n and sweep-power: sweep args.axis, with the other axis fixed by
-    --tx-power-dbm or --pa-count."""
-    config = _base_config(args)
-    overrides = {"axis": args.axis}
-    if args.axis_values:
-        overrides["axis_values"] = args.axis_values
-    elif config.axis != args.axis:
-        overrides["axis_values"] = args.default_axis_values
-    for fixed in ("tx_power_dbm", "pa_count"):
-        if getattr(args, fixed, None) is not None:
-            overrides[fixed] = getattr(args, fixed)
-    _run_and_emit(replace(config, **overrides), args)
-    return 0
-
-
-def _cmd_trace_drop(args) -> int:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    if args.tx_power_dbm is not None:
-        config = replace(config, tx_power_dbm=args.tx_power_dbm)
+def _trace(args) -> int:
+    config = _config(args)
     point = replace(config, axis="pa_count", axis_values=(args.n_pas,))
     scenario = scenario_for(point, args.n_pas, args.n_users, args.beta)
-    trace = trace_drop(scenario, args.seed, args.index)
-    text = json.dumps(trace, indent=2)
+    text = json.dumps(trace_drop(scenario, config.master_seed, args.index), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -150,6 +125,29 @@ def _cmd_trace_drop(args) -> int:
     return 0
 
 
+def _sweep_parser(sub, name: str, summary: str, axis: str | None = None):
+    """simulate (axis None) runs its config file's sweep; sweep-n and
+    sweep-power sweep their own axis and take user counts and densities."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", required=axis is None, help="config file (flat key = value lines)")
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--json", help="also write a JSON mirror here")
+    p.add_argument(
+        "--seed", dest="master_seed", metavar="SEED", type=_nonnegative_int,
+        help="master seed override",
+    )
+    p.add_argument("--drops", type=_positive_int, help="Monte Carlo drops override")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, >= 1")
+    if axis:
+        p.add_argument("--m-values", type=_list_of(_positive_int), help="user counts, e.g. 2,4")
+        p.add_argument(
+            "--beta-values", type=_list_of(_nonnegative_float),
+            help="blockage densities, e.g. 0.05,0.15",
+        )
+    p.set_defaults(func=_sweep, error=p.error, axis=axis)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchsim",
@@ -157,36 +155,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run the sweep described by a config file")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    _sweep_parser(sub, "simulate", "run the sweep described by a config file")
 
-    p_n = sub.add_parser("sweep-n", help="minimum rate versus PA count")
-    _add_common(p_n)
-    _add_sweep_flags(p_n)
+    p_n = _sweep_parser(sub, "sweep-n", "minimum rate versus PA count", "pa_count")
     p_n.add_argument(
-        "--n-values", dest="axis_values", metavar="N_VALUES", type=_positive_int_list,
+        "--n-values", dest="axis_values", metavar="N_VALUES", type=_list_of(_positive_int),
         help="PA counts, e.g. 5,10,15",
     )
     p_n.add_argument("--tx-power-dbm", type=_dbm, help="fixed transmit power, dBm")
-    p_n.set_defaults(
-        func=_cmd_sweep, axis="pa_count", default_axis_values=ExperimentConfig().axis_values
-    )
+    p_n.set_defaults(default_axis_values=ExperimentConfig().axis_values)
 
-    p_p = sub.add_parser("sweep-power", help="minimum rate versus transmit power")
-    _add_common(p_p)
-    _add_sweep_flags(p_p)
+    p_p = _sweep_parser(sub, "sweep-power", "minimum rate versus transmit power", "tx_power")
     p_p.add_argument(
-        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_dbm_list,
+        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_list_of(_dbm),
         help="transmit powers in dBm, e.g. 0,10,20",
     )
     p_p.add_argument("--pa-count", type=_positive_int, help="fixed number of PAs")
-    p_p.set_defaults(
-        func=_cmd_sweep, axis="tx_power", default_axis_values=(0.0, 5.0, 10.0, 15.0, 20.0)
-    )
+    p_p.set_defaults(default_axis_values=(0.0, 5.0, 10.0, 15.0, 20.0))
 
     p_t = sub.add_parser("trace-drop", help="dump one drop as JSON")
-    p_t.add_argument("--seed", type=_nonnegative_int, required=True, help="master seed")
+    p_t.add_argument(
+        "--seed", dest="master_seed", metavar="SEED", type=_nonnegative_int, required=True,
+        help="master seed",
+    )
     p_t.add_argument("--index", type=_nonnegative_int, required=True, help="drop index")
     p_t.add_argument("--config", help="config file for scenario constants")
     p_t.add_argument("--n-pas", type=_positive_int, default=10)
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--beta", type=_nonnegative_float, default=0.05)
     p_t.add_argument("--tx-power-dbm", type=_dbm)
     p_t.add_argument("--out", help="write JSON here instead of stdout")
-    p_t.set_defaults(func=_cmd_trace_drop)
+    p_t.set_defaults(func=_trace, error=p_t.error)
 
     return parser
 

@@ -137,17 +137,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} has duplicate entries: {values}")
         if self.pa_count < 1:
             raise ValueError(f"pa_count must be >= 1, got {self.pa_count}")
-        for name in ("room_length", "room_width", "waveguide_height", "carrier_freq", "bandwidth"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        n_eff = self.refractive_index
-        if not (math.isfinite(n_eff) and n_eff >= 1):
-            raise ValueError(f"refractive_index must be finite and >= 1, got {n_eff}")
         for name in ("noise_dbm", "tx_power_dbm"):
             value = getattr(self, name)
             if not _usable_dbm(value):
                 raise ValueError(f"{name} must be finite, with finite watts > 0, got {value}")
+        # Scenario checks the room, carrier and band constants it shares
+        # with the config, under the same names.
+        scenario_for(self, self.axis_values[0], self.m_values[0], self.beta_values[0])
 
 
 def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float) -> Scenario:

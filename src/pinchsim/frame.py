@@ -99,15 +99,8 @@ def rms_delay_spread(realization: ChannelRealization) -> float:
 
 
 def _next_power_of_two(x: float) -> int:
-    """Smallest power of two >= x (at least 1), exact at powers of two."""
-    if x <= 1.0:
-        return 1
-    k = math.ceil(math.log2(x))
-    while 2 ** k < x:
-        k += 1
-    while k > 0 and 2 ** (k - 1) >= x:
-        k -= 1
-    return 2 ** k
+    """Smallest power of two >= x (at least 1), in exact integer arithmetic."""
+    return 1 << (math.ceil(x) - 1).bit_length() if x > 1.0 else 1
 
 
 def design_frame(scenario: Scenario, realization: ChannelRealization) -> FrameDesign:
@@ -125,16 +118,11 @@ def design_frame(scenario: Scenario, realization: ChannelRealization) -> FrameDe
 
     if sigma <= 0.0:
         k = FLAT_FALLBACK_SUBCARRIERS
-        return FrameDesign(
-            cp_duration=0.0,
-            fft_duration=k / bandwidth,
-            n_subcarriers=k,
-            subcarrier_spacing=bandwidth / k,
-        )
-
-    t_cp = t_max
-    t_fft = t_cp + 5.0 * sigma
-    k = _next_power_of_two(bandwidth * t_fft)
+        t_cp, t_fft = 0.0, k / bandwidth
+    else:
+        t_cp = t_max
+        t_fft = t_cp + 5.0 * sigma
+        k = _next_power_of_two(bandwidth * t_fft)
     return FrameDesign(
         cp_duration=t_cp,
         fft_duration=t_fft,

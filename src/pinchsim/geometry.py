@@ -13,7 +13,7 @@ All quantities are SI (meters, Hz, watts) unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,26 +94,24 @@ class Scenario:
     noise_power: float = 1e-12
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.n_pas < 1:
-            raise ValueError(f"n_pas must be >= 1, got {self.n_pas}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.room_length <= 0 or self.room_width <= 0:
-            raise ValueError("room dimensions must be positive")
-        if self.waveguide_height <= 0:
-            raise ValueError("waveguide_height must be positive")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be positive")
-        if self.refractive_index < 1.0:
-            raise ValueError("refractive_index must be >= 1")
-        if self.blockage_density < 0:
-            raise ValueError("blockage_density must be >= 0")
-        if self.bandwidth <= 0 or self.tx_power <= 0 or self.noise_power <= 0:
-            raise ValueError("bandwidth, tx_power and noise_power must be positive")
+        for name in (
+            "room_length", "room_width", "waveguide_height", "carrier_freq",
+            "bandwidth", "tx_power", "noise_power",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        n_eff = self.refractive_index
+        if not (math.isfinite(n_eff) and n_eff >= 1):
+            raise ValueError(f"refractive_index must be finite and >= 1, got {n_eff}")
+        if not 0 <= self.blockage_density < math.inf:
+            raise ValueError(
+                f"blockage_density must be finite and >= 0, got {self.blockage_density}"
+            )
+        for name in ("n_pas", "n_users"):
+            value = getattr(self, name)
+            if not 1 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
     @property
     def noise_psd(self) -> float:

@@ -1,9 +1,14 @@
-"""Command-line interface: subcommands, overrides, determinism."""
+"""Command-line interface: subcommands, overrides, determinism, usage errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pinchsim
 from pinchsim.cli import main
 
 
@@ -99,7 +104,7 @@ class TestSimulate:
                 ]
             )
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert "argument --threads: " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -203,53 +208,133 @@ class TestTraceDrop:
         assert trace["scenario"]["bandwidth"] == 500e6
 
 
-BAD_NUMBERS = [
-    (["simulate", "--drops", "0"], "--drops"),
-    (["simulate", "--seed", "-1"], "--seed"),
-    (["sweep-n", "--seed", "-1"], "--seed"),
-    (["sweep-power", "--pa-count", "0"], "--pa-count"),
-    (["trace-drop", "--seed", "-1", "--index", "0"], "--seed"),
-    (["trace-drop", "--seed", "1", "--index", "-1"], "--index"),
-    (["trace-drop", "--seed", "1", "--index", "0", "--n-pas", "0"], "--n-pas"),
-    (["trace-drop", "--seed", "1", "--index", "0", "--n-users", "0"], "--n-users"),
-    (["sweep-n", "--m-values", "0"], "--m-values"),
-    (["sweep-power", "--m-values", "2,0"], "--m-values"),
-    (["sweep-n", "--n-values", "0"], "--n-values"),
-    (["sweep-n", "--n-values", "5,-2"], "--n-values"),
-    (["sweep-power", "--beta-values", "-1"], "--beta-values"),
-    (["sweep-n", "--beta-values", "0.05,-0.1"], "--beta-values"),
-    (["sweep-n", "--beta-values", "nan"], "--beta-values"),
-    (["sweep-n", "--tx-power-dbm", "inf"], "--tx-power-dbm"),
-    (["trace-drop", "--seed", "1", "--index", "0", "--beta", "-1"], "--beta"),
-    (["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "nan"], "--tx-power-dbm"),
-    (["sweep-power", "--power-values", "0,inf"], "--power-values"),
-    (["sweep-n", "--beta-values", "inf"], "--beta-values"),
-]
-# dBm values whose watts overflow or underflow; the id carries the value.
-BAD_DBM = [
-    (["sweep-n", "--tx-power-dbm", "4000"], "--tx-power-dbm"),
-    (["sweep-n", "--tx-power-dbm", "-4000"], "--tx-power-dbm"),
-    (["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "4000"], "--tx-power-dbm"),
-    (["sweep-power", "--power-values", "-4000,0"], "--power-values"),
-    (["sweep-power", "--power-values", "0,4000"], "--power-values"),
+def bad(argv, flag, published_id=None):
+    """One bad-value case, with the id "<subcommand><flag>=<token after flag>",
+    so that appending a case renames none. Cases from before that rule keep
+    the ids they were published under."""
+    token = argv[argv.index(flag) + 1]
+    return pytest.param(argv, flag, id=published_id or f"{argv[0]}{flag}={token}")
+
+
+BAD_VALUES = [
+    bad(["simulate", "--drops", "0"], "--drops", "simulate--drops"),
+    bad(["simulate", "--seed", "-1"], "--seed", "simulate--seed"),
+    bad(["sweep-n", "--seed", "-1"], "--seed", "sweep-n--seed"),
+    bad(["sweep-power", "--pa-count", "0"], "--pa-count", "sweep-power--pa-count"),
+    bad(["trace-drop", "--seed", "-1", "--index", "0"], "--seed", "trace-drop--seed"),
+    bad(["trace-drop", "--seed", "1", "--index", "-1"], "--index", "trace-drop--index"),
+    bad(
+        ["trace-drop", "--seed", "1", "--index", "0", "--n-pas", "0"], "--n-pas",
+        "trace-drop--n-pas",
+    ),
+    bad(
+        ["trace-drop", "--seed", "1", "--index", "0", "--n-users", "0"], "--n-users",
+        "trace-drop--n-users",
+    ),
+    bad(["sweep-n", "--m-values", "0"], "--m-values", "sweep-n--m-values"),
+    bad(["sweep-power", "--m-values", "2,0"], "--m-values", "sweep-power--m-values"),
+    bad(["sweep-n", "--n-values", "0"], "--n-values", "sweep-n--n-values0"),
+    bad(["sweep-n", "--n-values", "5,-2"], "--n-values", "sweep-n--n-values1"),
+    bad(["sweep-power", "--beta-values", "-1"], "--beta-values", "sweep-power--beta-values"),
+    bad(["sweep-n", "--beta-values", "0.05,-0.1"], "--beta-values", "sweep-n--beta-values0"),
+    bad(["sweep-n", "--beta-values", "nan"], "--beta-values", "sweep-n--beta-values1"),
+    bad(["sweep-n", "--tx-power-dbm", "inf"], "--tx-power-dbm", "sweep-n--tx-power-dbm"),
+    bad(["trace-drop", "--seed", "1", "--index", "0", "--beta", "-1"], "--beta", "trace-drop--beta"),
+    bad(
+        ["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "nan"], "--tx-power-dbm",
+        "trace-drop--tx-power-dbm",
+    ),
+    bad(
+        ["sweep-power", "--power-values", "0,inf"], "--power-values", "sweep-power--power-values"
+    ),
+    bad(["sweep-n", "--beta-values", "inf"], "--beta-values", "sweep-n--beta-values2"),
+    # dBm values whose watts overflow or underflow
+    bad(["sweep-n", "--tx-power-dbm", "4000"], "--tx-power-dbm"),
+    bad(["sweep-n", "--tx-power-dbm", "-4000"], "--tx-power-dbm"),
+    bad(["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "4000"], "--tx-power-dbm"),
+    bad(["sweep-power", "--power-values", "-4000,0"], "--power-values"),
+    bad(["sweep-power", "--power-values", "0,4000"], "--power-values"),
+    # lists with no entries
+    bad(["sweep-n", "--m-values", ","], "--m-values"),
+    bad(["sweep-n", "--n-values", ","], "--n-values"),
+    bad(["sweep-power", "--beta-values", " , "], "--beta-values"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    BAD_NUMBERS + BAD_DBM,
-    ids=[f"{argv[0]}{flag}" for argv, flag in BAD_NUMBERS]
-    + [f"{argv[0]}{flag}={argv[-1]}" for argv, flag in BAD_DBM],
-)
-def test_bad_numbers_rejected_naming_flag(tiny_config, tmp_path, capsys, argv, flag):
+@pytest.fixture
+def no_drops(monkeypatch):
+    """Fail the test if the CLI starts a sweep or a traced drop."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a drop ran")
+
+    monkeypatch.setattr("pinchsim.cli.run_sweep", fail)
+    monkeypatch.setattr("pinchsim.cli.trace_drop", fail)
+
+
+@pytest.mark.parametrize("argv, flag", BAD_VALUES)
+def test_bad_numbers_rejected_naming_flag(tiny_config, tmp_path, capsys, no_drops, argv, flag):
     out = tmp_path / "never.csv"
     if argv[0] != "trace-drop":
         argv = argv + ["--config", str(tiny_config), "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert f"argument {flag}: " in capsys.readouterr().err  # not just the usage line
     assert not out.exists()
+
+
+BAD_CONFIG = "axis = pa_count\ndrops = 2\nm_values = 2, x\n"
+USAGE_ERRORS = [
+    (["sweep-n", "--m-values", "2,2"], "m_values has duplicate entries"),
+    (["sweep-n", "--n-values", "10,5"], "axis_values must be sorted"),
+    (["sweep-power", "--power-values", "10,0"], "axis_values must be sorted"),
+    (["sweep-n", "--m-values", "2", "--beta-values", "0.1,0.1"], "beta_values has duplicate"),
+    (["simulate", "--config", "missing.cfg"], "missing.cfg"),
+    (["simulate", "--config", "bad.cfg"], "bad.cfg:3: bad value for m_values"),
+    (["sweep-n", "--config", "bad.cfg"], "bad.cfg:3: bad value for m_values"),
+    (["simulate", "--config", "."], "'.'"),
+    (["sweep-n", "--out", "no/such/dir/x.csv"], "no/such/dir/x.csv"),
+    (["sweep-power", "--out", "."], "--out: cannot write a file at ."),
+    (["sweep-n", "--out", ""], "--out: cannot write a file at"),
+    (["sweep-n", "--json", "no/such/dir/x.json"], "no/such/dir/x.json"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--config", "bad.cfg"], "bad.cfg:3:"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--out", "no/dir/t.json"], "no/dir/t.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_bad_input_is_a_usage_error_before_any_drop(
+    tmp_path, monkeypatch, capsys, no_drops, argv, named
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(BAD_CONFIG)
+    if argv[0] != "trace-drop" and "--out" not in argv:
+        argv = argv + ["--out", "never.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def test_usage_error_exit_status_of_the_module(tmp_path):
+    """The real process exits 2 with one usage error and no traceback."""
+    src = str(Path(pinchsim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pinchsim.cli", "sweep-n", "--m-values", "2,2", "--out", "x.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "m_values has duplicate entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unknown_subcommand_rejected():

@@ -1,5 +1,7 @@
 """OFDMA numerology from delay statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from pinchsim.channel import build_realization
 from pinchsim.frame import (
     FLAT_FALLBACK_SUBCARRIERS,
     FrameDesign,
+    _next_power_of_two,
     design_frame,
     max_excess_delay,
     rms_delay_spread,
@@ -187,3 +190,21 @@ class TestDesignFrame:
         b_t = scenario().bandwidth * fd.fft_duration
         assert fd.n_subcarriers >= b_t
         assert fd.n_subcarriers < 2 * b_t or b_t <= 1.0
+
+
+# A power of two, or one ulp either side of it, where a log2-based rounding
+# can land one power off; and plain positive floats.
+POWERS_AND_NEIGHBOURS = st.builds(
+    lambda k, toward: 2.0**k if toward is None else math.nextafter(2.0**k, toward),
+    st.integers(0, 60),
+    st.sampled_from((None, 0.0, math.inf)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(POWERS_AND_NEIGHBOURS, st.floats(0.0, 2.0**60)))
+def test_next_power_of_two_is_the_smallest_power_at_or_above(x):
+    k = _next_power_of_two(x)
+    assert k >= 1 and k & (k - 1) == 0
+    assert k >= x
+    assert k == 1 or k / 2 < x
