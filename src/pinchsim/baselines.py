@@ -48,7 +48,8 @@ def _center_gains_sq(users, alpha, scenario: Scenario) -> np.ndarray:
     the (M,) LoS indicators (0 on a blocked link); reads no tx_power."""
     dist = distance_matrix(users, center_pa_position(scenario))[:, 0]
     gains = _link_gains(dist, np.asarray(alpha), scenario.carrier_freq)
-    # abs per user: np.abs can differ from the scalar abs in the last bit.
+    # abs per user: np.abs, and np.hypot of the parts (66 of 90,349 values
+    # in one check), can differ from the scalar abs in the last bit.
     return np.array([abs(g) ** 2 for g in gains.tolist()])
 
 

@@ -193,6 +193,8 @@ def channel_grid(realization: ChannelRealization, frame: FrameDesign) -> Channel
     k = frame.n_subcarriers
     offsets = (np.arange(k) - k // 2) * frame.subcarrier_spacing
     h = np.empty((realization.n_users, k), dtype=complex)
+    # One user per call: an (M, K, N) broadcast gives the same bits but was
+    # slower on K = 4096 drops, 8.3 against 6.8 ms per drop.
     for m in range(realization.n_users):
         h[m] = frequency_response(realization, m, offsets)
     return ChannelGrid(h, offsets)

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import product
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -96,12 +97,12 @@ class ExperimentConfig:
     beta_values: tuple = (0.05, 0.15)
     drops: int = 500
     master_seed: int = 1
-    room_length: float = 30.0
-    room_width: float = 10.0
-    waveguide_height: float = 3.0
-    carrier_freq: float = 28e9
-    refractive_index: float = 1.4
-    bandwidth: float = 500e6
+    room_length: float = Scenario.room_length
+    room_width: float = Scenario.room_width
+    waveguide_height: float = Scenario.waveguide_height
+    carrier_freq: float = Scenario.carrier_freq
+    refractive_index: float = Scenario.refractive_index
+    bandwidth: float = Scenario.bandwidth
     noise_dbm: float = -90.0
     tx_power_dbm: float = 20.0
     pa_count: int = 10
@@ -109,6 +110,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.axis not in ("pa_count", "tx_power"):
             raise ValueError(f"axis must be pa_count or tx_power, got {self.axis!r}")
+        for name, values in (
+            ("drops", [self.drops]), ("master_seed", [self.master_seed]),
+            ("pa_count", [self.pa_count]), ("m_values", self.m_values),
+        ):
+            if not all(isinstance(v, Integral) for v in values):
+                raise ValueError(f"{name} must be of integer type, got {getattr(self, name)!r}")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if self.master_seed < 0:
@@ -321,10 +328,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     shape = (len(groups), config.drops, len(config.axis_values), len(SCHEMES))
     points = list(product(config.m_values, config.beta_values, config.axis_values))
     mats = rows.reshape(shape).swapaxes(1, 2).reshape(len(points), config.drops, len(SCHEMES))
-    means = [mat.mean(axis=0) for mat in mats]
+    means = mats.mean(axis=1)
     stderrs = np.zeros_like(means)
     if config.drops > 1:
-        stderrs = [mat.std(axis=0, ddof=1) / math.sqrt(config.drops) for mat in mats]
+        stderrs = mats.std(axis=1, ddof=1) / math.sqrt(config.drops)
 
     result = SweepResult(master_seed=config.master_seed)
     for s, scheme in enumerate(SCHEMES):
@@ -464,19 +471,15 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
         "grid_summary": {
             "n_subcarriers": grid.n_subcarriers,
             "per_user_abs": [
-                {
-                    "min": float(magnitudes[m].min()),
-                    "mean": float(magnitudes[m].mean()),
-                    "max": float(magnitudes[m].max()),
-                }
-                for m in range(grid.n_users)
+                dict(zip(("min", "mean", "max"), row))
+                for row in np.stack(
+                    [magnitudes.min(axis=1), magnitudes.mean(axis=1), magnitudes.max(axis=1)],
+                    axis=1,
+                ).tolist()
             ],
         },
         "allocation": {
-            "tones_per_user": [
-                np.flatnonzero(allocation.assignment[m] == 1).tolist()
-                for m in range(scenario.n_users)
-            ],
+            "tones_per_user": [np.flatnonzero(row == 1).tolist() for row in allocation.assignment],
             "power": allocation.power.tolist(),
             "rates_bps": allocation.rates.tolist(),
             "unusable_budget": allocation.unusable_budget.tolist(),

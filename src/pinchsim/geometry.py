@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -112,6 +113,8 @@ class Scenario:
             value = getattr(self, name)
             if not 1 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 1, got {value}")
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be of integer type, got {value!r}")
 
     @property
     def noise_psd(self) -> float:

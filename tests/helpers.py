@@ -2,6 +2,7 @@
 the per-user loops that the array code must match bit for bit."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -313,3 +314,24 @@ def reference_baseline_min_rates(realization, grid, frame, scenario, center_alph
     ]
     sc_fde = [reference_sc_fde_rate(h_row, frame, scenario) for h_row in grid.h]
     return maxmin_time_shares(single).min_rate, maxmin_time_shares(sc_fde).min_rate
+
+
+def reference_sweep_stats(mat):
+    """Mean and standard error over the drops of one grid point's (D, 3)
+    matrix of per-drop scheme minima, one point at a time: the oracle of the
+    whole-array reduction in `pinchsim.experiments.run_sweep`."""
+    drops = mat.shape[0]
+    means = mat.mean(axis=0)
+    if drops == 1:
+        return means, np.zeros_like(means)
+    return means, mat.std(axis=0, ddof=1) / math.sqrt(drops)
+
+
+def reference_per_user_abs(h):
+    """Min, mean and max of |h| for one user's row at a time: the oracle of
+    `per_user_abs` in `pinchsim.experiments.trace_drop`."""
+    rows = np.abs(h)
+    return [
+        {"min": float(row.min()), "mean": float(row.mean()), "max": float(row.max())}
+        for row in rows
+    ]

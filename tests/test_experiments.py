@@ -1,7 +1,6 @@
 """Monte Carlo harness: determinism, common random numbers, CSV/JSON output."""
 
 import json
-import math
 import re
 from dataclasses import replace
 from itertools import product
@@ -31,7 +30,12 @@ from pinchsim.experiments import (
 from pinchsim.experiments import _chunks, _drop_channel, _drop_chunk, _drop_rates
 from pinchsim.geometry import Scenario
 
-from helpers import reference_allocate, reference_baseline_min_rates
+from helpers import (
+    reference_allocate,
+    reference_baseline_min_rates,
+    reference_per_user_abs,
+    reference_sweep_stats,
+)
 
 
 def small_config(**kw):
@@ -119,6 +123,23 @@ class TestExperimentConfig:
     def test_rejects_invalid_values(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(drops=2.5), dict(m_values=(2, 2.5)), dict(master_seed=1.5), dict(pa_count=2.5)],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_rejects_non_integer_counts_and_seeds(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be of integer type"):
+            ExperimentConfig(**kw)
+
+    def test_numpy_integers_and_integral_pa_counts_pass(self):
+        cfg = ExperimentConfig(
+            axis_values=(2.0, 4.0), m_values=(np.int32(2),), drops=np.int64(3),
+            master_seed=np.uint32(7), pa_count=np.int64(4),
+        )
+        assert scenario_for(cfg, 4.0, cfg.m_values[0], 0.05).n_pas == 4
 
 
 class TestScenarioFor:
@@ -302,13 +323,61 @@ def test_drop_major_sweep_equals_per_point_drops(
     result = run_sweep(cfg, threads=threads)
     for m, beta, value in product(m_values, beta_values, values):
         sc = scenario_for(cfg, value, m, beta)
-        mat = np.array([run_drop(sc, seed, d) for d in range(drops)])
-        means = mat.mean(axis=0)
-        stderrs = mat.std(axis=0, ddof=1) / math.sqrt(drops) if drops > 1 else 0.0 * means
+        means, stderrs = reference_sweep_stats(
+            np.array([run_drop(sc, seed, d) for d in range(drops)])
+        )
         for s, scheme in enumerate(SCHEMES):
             point = result.point(scheme, value, m, beta)
             assert point.mean_min_rate.hex() == float(means[s]).hex()
             assert point.stderr.hex() == float(stderrs[s]).hex()
+
+
+def _assert_sweep_stats(result, cfg, mats):
+    """Every point's mean and stderr have the bits of reference_sweep_stats
+    over its (drops, 3) matrix; mats maps (M, beta, axis value) to it."""
+    for (m, beta, value), mat in mats.items():
+        means, stderrs = reference_sweep_stats(mat)
+        for s, scheme in enumerate(SCHEMES):
+            point = result.point(scheme, value, m, beta)
+            assert point.mean_min_rate.hex() == float(means[s]).hex()
+            assert point.stderr.hex() == float(stderrs[s]).hex()
+
+
+@pytest.mark.parametrize("drops", [1, 8, 9, 33])
+def test_sweep_stats_equal_per_point_loop_on_real_drops(drops):
+    """Drop counts the goldens (20 drops) do not pin."""
+    cfg = small_config(drops=drops, axis_values=(2, 5), beta_values=(0.05, 0.5), bandwidth=50e6)
+    mats = {
+        (m, beta, value): np.array(
+            [run_drop(scenario_for(cfg, value, m, beta), cfg.master_seed, d) for d in range(drops)]
+        )
+        for m, beta, value in product(cfg.m_values, cfg.beta_values, cfg.axis_values)
+    }
+    _assert_sweep_stats(run_sweep(cfg), cfg, mats)
+
+
+@pytest.mark.parametrize("drops", [1, 2, 8, 9, 33, 139, 200, 255, 256, 257, 513, 1000])
+def test_sweep_stats_equal_per_point_loop_on_many_drop_counts(monkeypatch, drops):
+    """The sweep's reduction alone, on stand-in per-drop minima (a quarter of
+    them zero, as in blocked drops), at drop counts too costly to simulate."""
+    rng = np.random.default_rng(drops)
+    tables = {}
+
+    def fake_chunk(scenarios, master_seed, start, stop):
+        key = (scenarios[0].n_users, scenarios[0].blockage_density)
+        if key not in tables:
+            draws = rng.exponential(1e8, (drops, len(scenarios), len(SCHEMES)))
+            tables[key] = np.where(rng.random(draws.shape) < 0.25, 0.0, draws)
+        return tables[key][start:stop].tolist()
+
+    monkeypatch.setattr(experiments, "_drop_chunk", fake_chunk)
+    cfg = small_config(drops=drops, axis_values=(2, 4, 6), m_values=(2, 3), beta_values=(0.05, 0.15))
+    result = run_sweep(cfg)
+    mats = {
+        (m, beta, value): tables[(m, beta)][:, a]
+        for (m, beta), (a, value) in product(tables, enumerate(cfg.axis_values))
+    }
+    _assert_sweep_stats(result, cfg, mats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,3 +562,15 @@ class TestTraceDrop:
         assert back["allocation"]["min_rate_bps"] == ofdma
         assert back["baseline_min_rates_bps"]["single_pa"] == single
         assert back["baseline_min_rates_bps"]["sc_fde"] == sc_fde
+
+    @pytest.mark.parametrize(
+        "n_pas, n_users, bandwidth", [(3, 2, 500e6), (30, 8, 20e6), (10, 4, 6.5e9)]
+    )
+    def test_per_user_abs_equals_per_row_calls(self, n_pas, n_users, bandwidth):
+        sc = Scenario(n_pas=n_pas, n_users=n_users, bandwidth=bandwidth)
+        for drop in range(3):
+            got = trace_drop(sc, 5, drop)["grid_summary"]["per_user_abs"]
+            want = reference_per_user_abs(_drop_channel(sc, 5, drop).grid.h)
+            assert [{k: v.hex() for k, v in row.items()} for row in got] == [
+                {k: v.hex() for k, v in row.items()} for row in want
+            ]

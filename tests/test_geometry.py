@@ -64,6 +64,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             make_scenario(**kw)
 
+    @pytest.mark.parametrize("name", ["n_pas", "n_users"])
+    def test_rejects_non_integer_counts(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be of integer type"):
+            make_scenario(**{name: 2.5})
+
+    def test_numpy_integer_counts_pass(self):
+        sc = make_scenario(n_pas=np.int64(3), n_users=np.int32(2))
+        assert pa_positions(sc).shape == (3, 3)
+
     def test_noise_psd(self):
         sc = make_scenario(noise_power=1e-12, bandwidth=500e6)
         assert sc.noise_psd == 1e-12 / 500e6
