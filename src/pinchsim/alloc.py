@@ -32,7 +32,6 @@ from .geometry import Scenario
 
 __all__ = [
     "Allocation",
-    "gain_grid",
     "user_rate",
     "greedy_assign",
     "waterfill",
@@ -62,17 +61,14 @@ class Allocation:
     unusable_budget: np.ndarray  # (M,) bool
 
 
-def gain_grid(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
-    """Per-watt SNR slope of every (user, tone): |H|^2 / (N * delta_f * N0).
+def _per_watt(gains_sq, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
+    """Per-watt SNR slope of every (user, tone) from its |H|^2:
+    |H|^2 / (N * delta_f * N0).
 
     The transmit power of each tone is spread uniformly over the N apertures,
     hence the extra N in the denominator. Units are 1/W, so gain * power is
     the tone SNR.
     """
-    return _per_watt(np.abs(grid.h) ** 2, frame, scenario)
-
-
-def _per_watt(gains_sq, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
     return gains_sq / (scenario.n_pas * frame.subcarrier_spacing * scenario.noise_psd)
 
 
@@ -114,7 +110,7 @@ class ToneTerms(NamedTuple):
     """The power-free terms of the allocation on one channel."""
 
     gains_sq: np.ndarray  # (M, K) |H|^2
-    gains: np.ndarray  # (M, K) per-watt SNR slopes, as gain_grid
+    gains: np.ndarray  # (M, K) per-watt SNR slopes, from _per_watt
     prefs: list  # per user, its tones in greedy's preference order
     usable: list  # per user, its count of positive-gain tones
 
@@ -295,7 +291,7 @@ def exhaustive_oracle(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario)
             f"instance {m_users} users x {k_tones} tones exceeds enumeration "
             f"limits ({ORACLE_MAX_USERS} x {ORACLE_MAX_TONES})"
         )
-    gains = gain_grid(grid, frame, scenario)
+    gains = _per_watt(np.abs(grid.h) ** 2, frame, scenario)
     budget = scenario.tx_power / m_users
 
     # Row s of subsets holds the tones of bitmask s (tone k is bit k); row 0

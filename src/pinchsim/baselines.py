@@ -27,10 +27,8 @@ from .geometry import Scenario, center_pa_position, distance_matrix
 
 __all__ = [
     "TimeShares",
-    "standalone_rate_single_pa",
     "maxmin_time_shares",
     "sc_fde_effective_snr",
-    "sc_fde_standalone_rate",
     "baseline_min_rates",
 ]
 
@@ -53,15 +51,11 @@ def _center_gains_sq(users, alpha, scenario: Scenario) -> np.ndarray:
     return np.array([abs(g) ** 2 for g in gains.tolist()])
 
 
-def standalone_rate_single_pa(users, alpha, scenario: Scenario) -> np.ndarray:
-    """Full-band rates, shape (M,), of (M, 3) users each served alone by the
-    center PA all slot: B * log2(1 + alpha_m |h_m|^2 P_t / noise_power), with
-    alpha the (M,) LoS indicators; a blocked link yields 0.
-    """
-    return _single_pa_rates(_center_gains_sq(users, alpha, scenario), scenario)
-
-
 def _single_pa_rates(gains_sq: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Full-band rates, shape (M,), of users each served alone by the center
+    PA all slot, from their (M,) |h_m|^2 of _center_gains_sq:
+    B * log2(1 + |h_m|^2 P_t / noise_power); a blocked link yields 0.
+    """
     snr = gains_sq * scenario.tx_power / scenario.noise_power
     return scenario.bandwidth * np.log2(1.0 + snr)
 
@@ -99,20 +93,14 @@ def sc_fde_effective_snr(gammas):
     return float(snr) if gammas.ndim == 1 else snr
 
 
-def sc_fde_standalone_rate(
-    h_row: np.ndarray, frame: FrameDesign, scenario: Scenario
-) -> float:
-    """Rate of one user served alone with single-carrier MMSE equalization.
+def _sc_fde_rates(gains_sq, frame: FrameDesign, scenario: Scenario):
+    """Rates of users each served alone with single-carrier MMSE
+    equalization, from |H|^2 of one user, (K,), or of all, (M, K).
 
     Per-tone SNRs use the full power budget spread over the N apertures:
     gamma_k = |H_k|^2 * P_t / (N * K * N0 * delta_f). The CP overhead of the
     shared frame applies, so the rate is cp_efficiency * B * log2(1 + SNR).
     """
-    return float(_sc_fde_rates(np.abs(h_row) ** 2, frame, scenario))
-
-
-def _sc_fde_rates(gains_sq, frame: FrameDesign, scenario: Scenario):
-    """sc_fde_standalone_rate from |H|^2 of one user, (K,), or of all, (M, K)."""
     k_tones = gains_sq.shape[-1]
     gammas = (
         gains_sq

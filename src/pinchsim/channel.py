@@ -5,11 +5,9 @@ waveguide, so user m sees one delayed tap per PA: the channel is an FIR
 filter with N taps. Tap gain is the product of the in-waveguide phase
 rotation (feed to PA) and the free-space link gain (PA to user); tap delay
 is the composite of guided and free-space propagation times. A drop's taps
-are (M, N) arrays built from the (M, 3) user and (N, 3) PA positions; the
-scalar helpers link_gain, waveguide_phase and composite_delay are one-link
-calls of the same formulas and take any 3-sequence as a point. Frequency
-responses are evaluated analytically from the taps; no sampled impulse
-response or FFT is involved on the main path.
+are (M, N) arrays built from the (M, 3) user and (N, 3) PA positions.
+Frequency responses are evaluated analytically from the taps; no sampled
+impulse response or FFT is involved on the main path.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import FrameDesign
-from .geometry import Scenario, distance, distance_matrix, feed_position, pa_positions
+from .geometry import Scenario, distance_matrix, feed_position, pa_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -29,9 +27,6 @@ __all__ = [
     "ChannelRealization",
     "ChannelGrid",
     "path_loss_constant",
-    "link_gain",
-    "waveguide_phase",
-    "composite_delay",
     "build_realization",
     "frequency_response",
     "channel_grid",
@@ -60,7 +55,10 @@ def _rotation(path, wavelength) -> np.ndarray:
 
 
 def _link_gains(dist, los, carrier_freq: float) -> np.ndarray:
-    """link_gain over arrays of link distances and LoS indicators."""
+    """Free-space complex gains of PA-to-user links at distances dist, with
+    los their binary LoS indicators: a blocked link is exactly 0, the others
+    have magnitude sqrt(path_loss_constant) / dist and turn once per
+    free-space wavelength of path."""
     if np.any(dist == 0.0):
         raise ValueError("zero-distance link is non-physical")
     amp = math.sqrt(path_loss_constant(carrier_freq)) / dist
@@ -68,41 +66,15 @@ def _link_gains(dist, los, carrier_freq: float) -> np.ndarray:
 
 
 def _waveguide_phases(feed_dist, carrier_freq: float, refractive_index: float) -> np.ndarray:
-    """waveguide_phase over an array of feed-to-PA distances."""
+    """Unit-magnitude rotations from the feed to PAs at feed_dist; the guided
+    wavelength is the free-space one over the effective refractive index."""
     return _rotation(feed_dist, SPEED_OF_LIGHT / carrier_freq / refractive_index)
 
 
 def _composite_delays(dist, feed_dist, refractive_index: float) -> np.ndarray:
-    """composite_delay over arrays of PA-to-user and feed-to-PA distances."""
+    """Guided (feed to PA) plus free-space (PA to user) propagation delays;
+    a guided meter costs refractive_index / c seconds."""
     return dist / SPEED_OF_LIGHT + refractive_index * feed_dist / SPEED_OF_LIGHT
-
-
-def link_gain(user, pa, alpha: int, carrier_freq: float) -> complex:
-    """Free-space complex gain of one PA-to-user link.
-
-    alpha is the binary LoS indicator; a blocked link contributes exactly 0.
-    Magnitude is sqrt(path_loss_constant) / distance, phase advances by a
-    full turn per free-space wavelength of path.
-    """
-    return complex(_link_gains(distance(user, pa), alpha, carrier_freq))
-
-
-def waveguide_phase(pa, feed, carrier_freq: float, refractive_index: float) -> complex:
-    """Unit-magnitude phase rotation accumulated from the feed to a PA.
-
-    Guided wavelength is the free-space wavelength divided by the effective
-    refractive index of the waveguide.
-    """
-    return complex(_waveguide_phases(distance(feed, pa), carrier_freq, refractive_index))
-
-
-def composite_delay(user, pa, feed, refractive_index: float) -> float:
-    """Total propagation delay: guided (feed to PA) plus free space (PA to user).
-
-    Guided propagation is slowed by the refractive index, so a guided meter
-    costs refractive_index / c seconds.
-    """
-    return float(_composite_delays(distance(user, pa), distance(feed, pa), refractive_index))
 
 
 @dataclass

@@ -46,7 +46,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "dbm_to_watts",
-    "watts_to_dbm",
     "scenario_for",
     "drop_rngs",
     "run_drop",
@@ -69,10 +68,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts / 1e-3)
-
-
 def _usable_dbm(dbm: float) -> bool:
     """True when dbm converts to a finite, positive number of watts."""
     try:
@@ -81,14 +76,15 @@ def _usable_dbm(dbm: float) -> bool:
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition plus the scenario constants shared by all points.
 
     axis is "pa_count" (axis_values are PA counts, transmit power fixed at
     tx_power_dbm) or "tx_power" (axis_values are dBm, PA count fixed at
     pa_count). Powers cross this boundary in dBm and are converted to watts
-    internally.
+    internally. Frozen, so no field skips the checks below; replace() makes
+    a checked copy.
     """
 
     axis: str = "pa_count"

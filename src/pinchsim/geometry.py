@@ -20,13 +20,11 @@ import numpy as np
 
 __all__ = [
     "Scenario",
-    "distance",
     "distance_matrix",
     "pa_positions",
     "feed_position",
     "center_pa_position",
     "sample_users",
-    "los_probability",
     "los_probability_matrix",
     "sample_blockage",
 ]
@@ -44,11 +42,6 @@ def distance_matrix(a, b) -> np.ndarray:
             raise ValueError(f"expected a (3,) point or (n, 3) points, got shape {x.shape}")
     sq = (a.reshape(-1, 1, 3) - b.reshape(1, -1, 3)) ** 2
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points (any 3-sequences)."""
-    return float(distance_matrix(a, b)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -163,13 +156,9 @@ def sample_users(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     return users
 
 
-def los_probability(user, pa, blockage_density: float) -> float:
-    """Probability of an unobstructed LoS link: exp(-beta * distance)."""
-    return float(los_probability_matrix(user, pa, blockage_density)[0, 0])
-
-
 def los_probability_matrix(users, pas, blockage_density: float) -> np.ndarray:
-    """LoS probabilities for every user/PA pair, shape (M, N)."""
+    """Probabilities of an unobstructed LoS link, exp(-beta * distance), for
+    every user/PA pair, shape (M, N)."""
     if blockage_density < 0:
         raise ValueError("blockage_density must be >= 0")
     return np.exp(-blockage_density * distance_matrix(users, pas))

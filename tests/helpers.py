@@ -1,17 +1,65 @@
-"""Shared builders for synthetic channels and frames used across tests, and
-the per-user loops that the array code must match bit for bit."""
+"""Shared builders for synthetic channels and frames used across tests, the
+per-user loops that the array code must match bit for bit, and a per-link
+oracle of the channel formulas in plain Python scalars."""
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from pinchsim.alloc import Allocation, gain_grid
+from pinchsim.alloc import Allocation
 from pinchsim.baselines import maxmin_time_shares
-from pinchsim.channel import ChannelGrid, ChannelRealization, link_gain
+from pinchsim.channel import (
+    SPEED_OF_LIGHT,
+    ChannelGrid,
+    ChannelRealization,
+    path_loss_constant,
+)
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import Scenario, center_pa_position
+
+# The per-link oracle: one link at a time in math/cmath floats, written apart
+# from the (M, N) array code it checks, in the same operation order. Squares
+# are dx * dx: libm's pow behind a float ** 2, and math.dist, can round
+# differently from numpy's square. The distance and delay oracles give the
+# array bits exactly; values through exp, cos or sin may differ from numpy's
+# in the last place.
+
+
+def oracle_distance(a, b):
+    """Euclidean distance between two 3-points, squares added x, y, z."""
+    dx, dy, dz = (float(p) - float(q) for p, q in zip(a, b))
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def oracle_los_probability(user, pa, beta):
+    """exp(-beta * distance) of one link."""
+    return math.exp(-beta * oracle_distance(user, pa))
+
+
+def oracle_link_gain(user, pa, alpha, carrier_freq):
+    """Free-space gain of one PA-to-user link: 0j when blocked, otherwise
+    sqrt(eta) / d, turning once per wavelength of path."""
+    if not alpha:
+        return 0j
+    d = oracle_distance(user, pa)
+    wavelength = SPEED_OF_LIGHT / carrier_freq
+    amp = math.sqrt(path_loss_constant(carrier_freq)) / d
+    return cmath.rect(amp, -2.0 * math.pi * d / wavelength)
+
+
+def oracle_waveguide_phase(pa, feed, carrier_freq, refractive_index):
+    """Unit rotation from the feed to one PA at the guided wavelength."""
+    guided = SPEED_OF_LIGHT / carrier_freq / refractive_index
+    return cmath.rect(1.0, -2.0 * math.pi * oracle_distance(feed, pa) / guided)
+
+
+def oracle_delay(user, pa, feed, refractive_index):
+    """Free-space (PA to user) plus guided (feed to PA) delay of one link."""
+    c = SPEED_OF_LIGHT
+    return oracle_distance(user, pa) / c + refractive_index * oracle_distance(feed, pa) / c
 
 
 def synthetic_realization(gains, delays):
@@ -67,10 +115,12 @@ def reference_rms_delay_spread(realization):
 
 def reference_single_pa_rate(user, center_pa, alpha, scenario):
     """Full-band rate of one user (a 3-tuple) served alone by the center PA,
-    from the scalar link gain: the per-user oracle of
-    `pinchsim.baselines.standalone_rate_single_pa`."""
-    gain = link_gain(user, center_pa, alpha, scenario.carrier_freq)
+    from the oracle link gain: the per-user oracle of the single-PA rates in
+    `pinchsim.baselines`."""
+    gain = oracle_link_gain(user, center_pa, alpha, scenario.carrier_freq)
     snr = abs(gain) ** 2 * scenario.tx_power / scenario.noise_power
+    # np.log2, as the array code: math.log2 differs from it in the last
+    # place on some inputs.
     return scenario.bandwidth * float(np.log2(1.0 + snr))
 
 
@@ -253,12 +303,17 @@ def _reference_user_fill(assign_row, gain_row, budget, frame):
     return power, level, reference_user_rate(assign_row, power, gain_row, frame)
 
 
+def reference_per_watt(grid, frame, scenario):
+    """Per-watt SNR slopes |H|^2 / (N * delta_f * N0) of every (user, tone)."""
+    return np.abs(grid.h) ** 2 / (scenario.n_pas * frame.subcarrier_spacing * scenario.noise_psd)
+
+
 def reference_allocate(grid, frame, scenario):
     """Rescanning greedy assignment, then one water-filling call and one rate
     sum per user over its own tones: the per-user oracle of
     `pinchsim.alloc.allocate`."""
     assignment = reference_greedy_assign(np.abs(grid.h) ** 2, frame, scenario)
-    gains = gain_grid(grid, frame, scenario)
+    gains = reference_per_watt(grid, frame, scenario)
     m_users = grid.n_users
     budget = scenario.tx_power / m_users
     power = np.zeros_like(gains)
@@ -275,7 +330,7 @@ def reference_exhaustive_oracle(grid, frame, scenario):
     user water-filled alone over its own tones: the first map with the largest
     minimum rate and that rate. The per-assignment oracle of
     `pinchsim.alloc.exhaustive_oracle`."""
-    gains = gain_grid(grid, frame, scenario)
+    gains = reference_per_watt(grid, frame, scenario)
     m_users, k_tones = gains.shape
     budget = scenario.tx_power / m_users
     best, best_value = None, -np.inf
@@ -293,7 +348,7 @@ def reference_exhaustive_oracle(grid, frame, scenario):
 
 def reference_sc_fde_rate(h_row, frame, scenario):
     """SC-FDE rate of one user from its (K,) channel row: the per-user oracle
-    of `pinchsim.baselines.sc_fde_standalone_rate` and its (M, K) form."""
+    of the SC-FDE rates in `pinchsim.baselines`, one row of their (M, K) form."""
     k_tones = h_row.size
     gammas = (
         np.abs(h_row) ** 2

@@ -12,13 +12,8 @@ import numpy as np
 import pytest
 
 from pinchsim.alloc import allocate, exhaustive_oracle, min_rate, waterfill
-from pinchsim.baselines import sc_fde_effective_snr, sc_fde_standalone_rate
-from pinchsim.channel import (
-    build_realization,
-    channel_grid,
-    composite_delay,
-    frequency_response,
-)
+from pinchsim.baselines import _sc_fde_rates, sc_fde_effective_snr
+from pinchsim.channel import _composite_delays, build_realization, channel_grid, frequency_response
 from pinchsim.cli import main as cli_main
 from pinchsim.experiments import (
     ExperimentConfig,
@@ -55,11 +50,11 @@ def spearman(x, y):
 
 def test_1_composite_delay_walkthrough():
     # 3 m of guided path at n_e = 1.4 plus 3 m of free space: about 14 ns,
-    # 10 ns and 24 ns, within 2 percent of those round numbers.
-    feed = (0, 0, 0)
-    guided = composite_delay((3, 0, 0), (3, 0, 0), feed, 1.4)
-    free = composite_delay((3, 0, 0), feed, feed, 1.4)
-    total = composite_delay((6, 0, 0), (3, 0, 0), feed, 1.4)
+    # 10 ns and 24 ns, within 2 percent of those round numbers. The three
+    # links' free-space and guided distances:
+    guided, free, total = _composite_delays(
+        np.array([0.0, 3.0, 3.0]), np.array([3.0, 0.0, 3.0]), 1.4
+    )
     ok = (
         abs(guided - 14e-9) <= 0.02 * 14e-9
         and abs(free - 10e-9) <= 0.02 * 10e-9
@@ -179,7 +174,7 @@ def test_4_flat_channel_reductions():
     h_row = np.full(16, 1.5 - 0.5j)
     gamma = abs(1.5 - 0.5j) ** 2 * 3.0 / (2 * 16 * 1.0 * 1.0)
     direct = frame.cp_efficiency * 16.0 * math.log2(1.0 + gamma)
-    rate = sc_fde_standalone_rate(h_row, frame, sc)
+    rate = _sc_fde_rates(np.abs(h_row) ** 2, frame, sc)
     assert rate == pytest.approx(direct, rel=1e-12)
 
     report(

@@ -13,10 +13,10 @@ from pinchsim.alloc import (
     Allocation,
     _allocate_terms,
     _channel_advantage,
+    _per_watt,
     _tone_terms,
     allocate,
     exhaustive_oracle,
-    gain_grid,
     greedy_assign,
     min_rate,
     user_rate,
@@ -42,7 +42,7 @@ POW2 = (1, 2, 4, 8, 16, 32)
 
 
 def unit_setup(n_users, k, tx_power=1.0, n_pas=1):
-    """Frame + scenario where gain_grid equals |H|^2 exactly.
+    """Frame + scenario where the per-watt gains equal |H|^2 exactly.
 
     Grids may be narrower than the frame's radix-two subcarrier count (the
     allocator only reads the spacing and CP efficiency), so non-power-of-two
@@ -394,7 +394,7 @@ class TestAllocate:
             n_pas=5, n_users=1, bandwidth=500e6, tx_power=0.1, noise_power=1e-12
         )
         grid = grid_from_h(np.full((1, 4), 2e-4 + 0j))
-        g = gain_grid(grid, frame, scenario)
+        g = _per_watt(np.abs(grid.h) ** 2, frame, scenario)
         expected = (2e-4) ** 2 / (5 * frame.subcarrier_spacing * (1e-12 / 500e6))
         assert np.allclose(g, expected, rtol=1e-12)
 

@@ -12,10 +12,8 @@ from pinchsim.baselines import (
     baseline_min_rates,
     maxmin_time_shares,
     sc_fde_effective_snr,
-    sc_fde_standalone_rate,
-    standalone_rate_single_pa,
 )
-from pinchsim.baselines import _sc_fde_rates
+from pinchsim.baselines import _center_gains_sq, _sc_fde_rates, _single_pa_rates
 from pinchsim.channel import (
     build_realization,
     channel_grid,
@@ -41,7 +39,8 @@ from helpers import (
 class TestStandaloneRateSinglePa:
     def test_blocked_is_zero(self):
         sc = Scenario(n_pas=1, n_users=1)
-        rates = standalone_rate_single_pa([(10, 2, 0), (20, -1, 0)], [0, 1], sc)
+        users = [(10, 2, 0), (20, -1, 0)]
+        rates = _single_pa_rates(_center_gains_sq(users, [0, 1], sc), sc)
         assert rates[0] == 0.0 and rates[1] > 0.0
 
     def test_unit_snr_gives_bandwidth(self):
@@ -53,7 +52,7 @@ class TestStandaloneRateSinglePa:
             noise_power=eta / 9.0 * pt, bandwidth=500e6,
         )
         user = (15.0, 0.0, 0.0)  # 3 m below the center PA
-        (rate,) = standalone_rate_single_pa(user, [1], sc)
+        (rate,) = _single_pa_rates(_center_gains_sq(user, [1], sc), sc)
         assert rate == pytest.approx(sc.bandwidth, rel=1e-12)
 
     def test_scalar_cross_check(self):
@@ -62,7 +61,7 @@ class TestStandaloneRateSinglePa:
             n_pas=1, n_users=1, carrier_freq=28e9, tx_power=0.1,
             noise_power=1e-12, bandwidth=500e6,
         )
-        (rate,) = standalone_rate_single_pa([(15.0, 0.0, 0.0)], [1], sc)
+        (rate,) = _single_pa_rates(_center_gains_sq([(15.0, 0.0, 0.0)], [1], sc), sc)
         snr = (path_loss_constant(28e9) / 9.0) * 0.1 / 1e-12
         assert rate == pytest.approx(500e6 * math.log2(1 + snr), rel=1e-12)
 
@@ -75,18 +74,25 @@ class TestStandaloneRateSinglePa:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_single_pa_rates_match_per_user_scalar_calls(m, beta, tx_power, seed):
-    """The (M,) rates have the bits of one scalar link_gain call per user."""
+    """The (M,) rates have the bits of the same array functions called on
+    one user at a time, and are within 2 ulp of the rate from the plain-Python
+    oracle's link gain (through cos and sin)."""
     sc = Scenario(n_pas=1, n_users=m, blockage_density=beta, tx_power=tx_power)
     rng = np.random.default_rng(seed)
     users = sample_users(sc, rng)
     center = center_pa_position(sc)
     alpha = sample_blockage(sc, users, [center], rng)[:, 0]
-    rates = standalone_rate_single_pa(users, alpha, sc)
+    rates = _single_pa_rates(_center_gains_sq(users, alpha, sc), sc)
+    one_user = [
+        _single_pa_rates(_center_gains_sq(users[i], alpha[i : i + 1], sc), sc)[0]
+        for i in range(m)
+    ]
+    assert [r.hex() for r in rates.tolist()] == [r.hex() for r in one_user]
     expected = [
         reference_single_pa_rate(tuple(u), tuple(center), int(a), sc)
         for u, a in zip(users.tolist(), alpha)
     ]
-    assert [r.hex() for r in rates.tolist()] == [e.hex() for e in expected]
+    np.testing.assert_array_max_ulp(rates, np.array(expected), maxulp=2)
 
 
 class TestMaxminTimeShares:
@@ -184,22 +190,23 @@ def test_sc_fde_effective_snr_properties(gammas, tone, boost):
 )
 def test_sc_fde_rates_match_per_user_calls(gains_sq, scale, tx_powers):
     """The SC-FDE rates of all M users, from one (M, K) expression, have at
-    every power the bits of one per-user call per row; so has the public
-    one-user rate."""
+    every power the bits of one per-user call per row, of the inline formula
+    and of the same expression on that row alone."""
     h = scale * np.sqrt(gains_sq)
     frame = make_frame(k=64, bandwidth=20e6, cp_duration=1e-8)
     for tx_power in tx_powers:
         sc = Scenario(n_pas=3, n_users=h.shape[0], bandwidth=20e6, tx_power=tx_power)
         want = [reference_sc_fde_rate(row, frame, sc).hex() for row in h]
         assert [r.hex() for r in _sc_fde_rates(np.abs(h) ** 2, frame, sc).tolist()] == want
-        assert [sc_fde_standalone_rate(row, frame, sc).hex() for row in h] == want
+        one_user = [float(_sc_fde_rates(np.abs(row) ** 2, frame, sc)) for row in h]
+        assert [r.hex() for r in one_user] == want
 
 
 class TestScFdeStandaloneRate:
     def test_fully_blocked_user(self):
         frame = make_frame(k=8, bandwidth=8.0)
         sc = unit_scenario(1, 8)
-        assert sc_fde_standalone_rate(np.zeros(8, dtype=complex), frame, sc) == 0.0
+        assert _sc_fde_rates(np.zeros(8), frame, sc) == 0.0
 
     def test_flat_channel_reduces_to_single_carrier(self):
         frame = make_frame(k=8, bandwidth=8.0, cp_duration=2e-9, fft_duration=8e-9)
@@ -207,7 +214,7 @@ class TestScFdeStandaloneRate:
         h_row = np.full(8, 0.5 + 0.5j)
         gamma = abs(0.5 + 0.5j) ** 2 * 2.0 / (3 * 8 * 1.0 * 1.0)
         expected = frame.cp_efficiency * 8.0 * math.log2(1 + gamma)
-        assert sc_fde_standalone_rate(h_row, frame, sc) == pytest.approx(
+        assert _sc_fde_rates(np.abs(h_row) ** 2, frame, sc) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -221,7 +228,7 @@ class TestScFdeStandaloneRate:
             gammas = np.abs(h_row) ** 2 * sc.tx_power / (
                 sc.n_pas * 8 * sc.noise_psd * frame.subcarrier_spacing
             )
-            rate = sc_fde_standalone_rate(h_row, frame, sc)
+            rate = _sc_fde_rates(np.abs(h_row) ** 2, frame, sc)
             per_tone = (
                 frame.cp_efficiency
                 * frame.subcarrier_spacing
@@ -246,7 +253,7 @@ class TestBaselineMinRates:
         single, _ = baseline_min_rates(
             realization, grid, frame, sc, np.array([1], dtype=np.int8)
         )
-        (expected,) = standalone_rate_single_pa(users, [1], sc)
+        expected = reference_single_pa_rate(tuple(users[0]), center_pa_position(sc), 1, sc)
         assert single == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_outputs(self):

@@ -11,23 +11,29 @@ from pinchsim.channel import (
     SPEED_OF_LIGHT,
     build_realization,
     channel_grid,
-    composite_delay,
     frequency_response,
-    link_gain,
     path_loss_constant,
-    waveguide_phase,
 )
+from pinchsim.channel import _composite_delays, _link_gains, _waveguide_phases
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import (
     Scenario,
+    distance_matrix,
     feed_position,
-    los_probability,
     los_probability_matrix,
     pa_positions,
     sample_users,
 )
 
-from helpers import dtft_oracle, synthetic_realization
+from helpers import (
+    dtft_oracle,
+    oracle_delay,
+    oracle_distance,
+    oracle_link_gain,
+    oracle_los_probability,
+    oracle_waveguide_phase,
+    synthetic_realization,
+)
 
 C = SPEED_OF_LIGHT
 
@@ -59,51 +65,52 @@ class TestPathLossConstant:
 
 class TestLinkGain:
     def test_blocked_link_is_zero(self):
-        g = link_gain((0, 0, 0), (2, 0, 3), 0, 28e9)
+        g = _link_gains(distance_matrix((0, 0, 0), (2, 0, 3)), 0, 28e9)[0, 0]
         assert g == 0j
 
     def test_magnitude_below_pa(self):
         # User directly under a PA 3 m up: magnitude sqrt(eta) / 3.
-        g = link_gain((5, 0, 0), (5, 0, 3.0), 1, 28e9)
+        g = _link_gains(distance_matrix((5, 0, 0), (5, 0, 3.0)), 1, 28e9)[0, 0]
         assert abs(g) == pytest.approx(2.840086404307704e-4, rel=1e-12)
 
     def test_phase_wraps_at_integer_wavelengths(self):
         fc = 28e9
         lam = C / fc
-        g = link_gain((0, 0, 0), (100 * lam, 0, 0), 1, fc)
+        g = _link_gains(distance_matrix((0, 0, 0), (100 * lam, 0, 0)), 1, fc)[0, 0]
         assert abs(math.atan2(g.imag, g.real)) < 1e-9
 
     def test_rejects_zero_distance(self):
         p = (1, 1, 1)
         with pytest.raises(ValueError):
-            link_gain(p, p, 1, 28e9)
+            _link_gains(distance_matrix(p, p), 1, 28e9)
 
 
 class TestWaveguidePhase:
     def test_at_feed_is_unity(self):
         p = (0, 0, 3.0)
-        assert waveguide_phase(p, p, 28e9, 1.4) == 1 + 0j
+        assert _waveguide_phases(distance_matrix(p, p)[0], 28e9, 1.4)[0] == 1 + 0j
 
     def test_unit_magnitude(self):
         feed = (0, 0, 3.0)
         for x in (0.1, 1.0, 7.7, 29.9):
-            w = waveguide_phase((x, 0, 3.0), feed, 28e9, 1.4)
+            w = _waveguide_phases(distance_matrix(feed, (x, 0, 3.0))[0], 28e9, 1.4)[0]
             assert abs(abs(w) - 1.0) < 1e-12
 
     def test_half_guided_wavelength_flips_sign(self):
         fc, ne = 28e9, 1.4
         guided_lam = C / fc / ne
-        w = waveguide_phase((guided_lam / 2, 0, 3.0), (0, 0, 3.0), fc, ne)
+        feed_dist = distance_matrix((0, 0, 3.0), (guided_lam / 2, 0, 3.0))[0]
+        w = _waveguide_phases(feed_dist, fc, ne)[0]
         assert abs(w - (-1.0)) < 1e-9
 
 
 class TestCompositeDelay:
     def test_three_meter_excess_paths(self):
-        # 3 m of waveguide at n_e = 1.4 and 3 m of free space.
-        feed = (0, 0, 0)
-        guided_only = composite_delay((3, 0, 0), (3, 0, 0), feed, 1.4)
-        free_only = composite_delay((3, 0, 0), feed, feed, 1.4)
-        both = composite_delay((6, 0, 0), (3, 0, 0), feed, 1.4)
+        # 3 m of waveguide at n_e = 1.4 and 3 m of free space: three links'
+        # free-space and guided distances.
+        guided_only, free_only, both = _composite_delays(
+            np.array([0.0, 3.0, 3.0]), np.array([3.0, 0.0, 3.0]), 1.4
+        )
         assert guided_only == pytest.approx(1.4 * 3 / C, rel=1e-15)
         assert free_only == pytest.approx(3 / C, rel=1e-15)
         assert both == pytest.approx(guided_only + free_only, rel=1e-15)
@@ -114,12 +121,12 @@ class TestCompositeDelay:
 
     def test_coincident_points_give_zero(self):
         p = (2, 2, 2)
-        assert composite_delay(p, p, p, 1.4) == 0.0
+        dist = distance_matrix(p, p)
+        assert _composite_delays(dist, dist, 1.4)[0, 0] == 0.0
 
     def test_linear_in_path_lengths(self):
-        feed = (0, 0, 0)
-        d1 = composite_delay((4, 0, 0), (2, 0, 0), feed, 1.4)
-        d2 = composite_delay((8, 0, 0), (4, 0, 0), feed, 1.4)
+        # 2 m then 4 m of each path.
+        d1, d2 = _composite_delays(np.array([2.0, 4.0]), np.array([2.0, 4.0]), 1.4)
         assert d2 == pytest.approx(2 * d1, rel=1e-14)
 
 
@@ -152,11 +159,11 @@ class TestBuildRealization:
         pas, feed = pa_positions(sc), feed_position(sc)
         for m, u in enumerate(users):
             for n, pa in enumerate(pas):
-                expected = waveguide_phase(
+                expected = oracle_waveguide_phase(
                     pa, feed, sc.carrier_freq, sc.refractive_index
-                ) * link_gain(u, pa, int(los[m, n]), sc.carrier_freq)
+                ) * oracle_link_gain(u, pa, int(los[m, n]), sc.carrier_freq)
                 assert r.tap_gains[m, n] == pytest.approx(expected, rel=1e-12)
-                expected_delay = composite_delay(u, pa, feed, sc.refractive_index)
+                expected_delay = oracle_delay(u, pa, feed, sc.refractive_index)
                 assert r.tap_delays[m, n] == pytest.approx(expected_delay, rel=1e-12)
 
     def test_gain_zero_iff_blocked(self):
@@ -208,22 +215,50 @@ rooms = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(sc=rooms, seed=st.integers(0, 2**32 - 1))
 def test_array_formulas_equal_scalar_calls_exactly(sc, seed):
-    """Every entry of the (M, N) arrays has the bits of the per-link scalar
-    call, including the signs of the zero parts of blocked taps."""
+    """Every entry of the (M, N) arrays has the bits of a one-link call of
+    the same array function, including the signs of the zero parts of
+    blocked taps. Against the plain-Python per-link oracle, distances and
+    delays have the same bits, LoS probabilities, guided phases and link
+    gains (through exp, cos and sin) are within 2 ulp, and blocked taps have
+    the oracle's zero-part signs."""
     rng = np.random.default_rng(seed)
     users = sample_users(sc, rng)
     pas, feed = pa_positions(sc), feed_position(sc)
     los = rng.integers(0, 2, size=(len(users), len(pas))).astype(np.int8)
     probs = los_probability_matrix(users, pas, sc.blockage_density)
     r = build_realization(sc, users, los)
+    fc, n_e = sc.carrier_freq, sc.refractive_index
+    dist, feed_dist = distance_matrix(users, pas), distance_matrix(feed, pas)
+    want_probs = np.empty(los.shape)
+    want_guided, want_free, want_taps = (np.empty(los.shape, dtype=complex) for _ in range(3))
     for m, u in enumerate(users):
         for n, pa in enumerate(pas):
-            assert probs[m, n] == los_probability(u, pa, sc.blockage_density)
-            expected = waveguide_phase(
-                pa, feed, sc.carrier_freq, sc.refractive_index
-            ) * link_gain(u, pa, int(los[m, n]), sc.carrier_freq)
+            assert probs[m, n] == los_probability_matrix(u, pa, sc.blockage_density)[0, 0]
+            link_dist, link_feed_dist = distance_matrix(u, pa), distance_matrix(feed, pa)
+            expected = complex(_waveguide_phases(link_feed_dist, fc, n_e)[0, 0]) * complex(
+                _link_gains(link_dist, los[m, n], fc)[0, 0]
+            )
             assert same_bits(complex(r.tap_gains[m, n]), expected)
-            assert r.tap_delays[m, n] == composite_delay(u, pa, feed, sc.refractive_index)
+            assert r.tap_delays[m, n] == _composite_delays(link_dist, link_feed_dist, n_e)[0, 0]
+
+            assert dist[m, n].hex() == oracle_distance(u, pa).hex()
+            assert feed_dist[0, n].hex() == oracle_distance(feed, pa).hex()
+            assert r.tap_delays[m, n].hex() == oracle_delay(u, pa, feed, n_e).hex()
+            w = oracle_waveguide_phase(pa, feed, fc, n_e)
+            g = oracle_link_gain(u, pa, los[m, n], fc)
+            want_probs[m, n] = oracle_los_probability(u, pa, sc.blockage_density)
+            want_guided[m, n], want_free[m, n], want_taps[m, n] = w, g, w * g
+            if not los[m, n]:
+                assert same_bits(complex(r.tap_gains[m, n]), w * g)
+    np.testing.assert_array_max_ulp(probs, want_probs, maxulp=2)
+    guided = np.broadcast_to(_waveguide_phases(feed_dist, fc, n_e), los.shape)
+    for got, want in ((guided, want_guided), (_link_gains(dist, los, fc), want_free)):
+        np.testing.assert_array_max_ulp(got.real, want.real, maxulp=2)
+        np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=2)
+    # The parts of a complex product can cancel, so the tap bound is on the
+    # modulus, in ulps of the oracle's |tap| (|guided| = 1).
+    err = np.abs(r.tap_gains - want_taps)
+    assert np.all(err <= 4 * np.spacing(np.abs(want_taps)))
 
 
 class TestFrequencyResponse:

@@ -1,32 +1,49 @@
-"""Demo scripts: the fast ones run end to end, and every name any demo
-imports from pinchsim exists, so a removed export fails here."""
+"""Demo scripts and the README quick start: the fast demos and the quick
+start run end to end, and every name that a demo, a `dropbench` script or a
+README example imports from pinchsim exists, so a removed export fails here."""
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 # min_rate_sweep runs Monte Carlo sweeps; only its imports are checked.
 FAST = ["channel_selectivity", "frame_design", "greedy_vs_exhaustive", "waterfilling"]
 
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+(QUICK_START,) = re.findall(r"^## Library quick start\n+```python\n(.*?)^```", README, re.M | re.S)
 
-def pinchsim_imports(path):
+
+def pinchsim_imports(source):
     """(module, name) for every `from pinchsim... import name` in a script."""
     return [
         (node.module, alias.name)
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom)
         and (node.module or "").split(".")[0] == "pinchsim"
         for alias in node.names
     ]
 
 
-@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem)
-def test_demo_imports_exist(path):
-    names = pinchsim_imports(path)
+SOURCES = [
+    *(pytest.param(p.read_text(), id=p.stem) for p in sorted(DEMOS.glob("*.py"))),
+    *(
+        pytest.param(p.read_text(), id=f"dropbench/{p.stem}")
+        for p in sorted((ROOT / "dropbench").glob("*.py"))
+    ),
+    *(pytest.param(block, id=f"README/python-{i}") for i, block in enumerate(README_BLOCKS)),
+]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_demo_imports_exist(source):
+    names = pinchsim_imports(source)
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
@@ -37,3 +54,8 @@ def test_fast_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(QUICK_START, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 0.0

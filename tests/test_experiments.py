@@ -1,8 +1,9 @@
 """Monte Carlo harness: determinism, common random numbers, CSV/JSON output."""
 
 import json
+import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,6 @@ from pinchsim.experiments import (
     run_sweep,
     scenario_for,
     trace_drop,
-    watts_to_dbm,
 )
 from pinchsim.experiments import _chunks, _drop_channel, _drop_chunk, _drop_rates
 from pinchsim.geometry import Scenario
@@ -59,7 +59,7 @@ class TestPowerConversion:
 
     def test_round_trip(self):
         for dbm in (-90.0, -10.0, 0.0, 13.5, 20.0):
-            assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-12)
+            assert 10.0 * math.log10(dbm_to_watts(dbm) / 1e-3) == pytest.approx(dbm, abs=1e-12)
 
 
 class TestExperimentConfig:
@@ -75,6 +75,16 @@ class TestExperimentConfig:
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
             ExperimentConfig(axis="users")
+
+    def test_field_assignment_raises(self):
+        """Fields are set only through __init__, so no value skips its check;
+        replace() builds a checked copy."""
+        cfg = ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.master_seed = -1
+        assert cfg.master_seed == 1
+        with pytest.raises(ValueError, match="master_seed must be >= 0"):
+            replace(cfg, master_seed=-1)
 
     def test_rejects_unsorted_axis_values(self):
         with pytest.raises(ValueError):
@@ -180,6 +190,11 @@ class TestRunDrop:
         assert run_drop(sc, 5, 0) != run_drop(sc, 5, 1)
 
 
+def failing_drop_chunk(scenarios, master_seed, start, stop):
+    """Stand-in for experiments._drop_chunk that fails in the worker."""
+    raise ValueError(f"drops {start}..{stop - 1} failed in a worker")
+
+
 class TestRunSweep:
     def test_single_drop_equals_run_drop(self):
         cfg = small_config(drops=1)
@@ -213,11 +228,14 @@ class TestRunSweep:
         cfg = small_config(drops=5, m_values=(1, 2), beta_values=(0.05, 0.3))
         assert run_sweep(cfg, threads=threads).points == run_sweep(cfg).points
 
-    def test_worker_error_surfaces(self):
-        cfg = small_config(drops=2)
-        cfg.master_seed = -1  # past the config check, so the drops themselves fail
-        with pytest.raises(ValueError, match="non-negative"):
-            run_sweep(cfg, threads=2)
+    def test_worker_error_surfaces(self, monkeypatch):
+        """An error raised in a worker process re-raises in the caller. The
+        stand-in job is pickled by reference, so a worker runs it whatever
+        the start method."""
+        monkeypatch.setattr(experiments, "_drop_chunk", failing_drop_chunk)
+        with pytest.raises(ValueError, match="failed in a worker") as info:
+            run_sweep(small_config(drops=2), threads=2)
+        assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
     def test_channel_built_once_per_drop_across_power_levels(self, monkeypatch):
         """The grid and the allocation's power-free terms (the channel

@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from pinchsim.geometry import (
     Scenario,
     center_pa_position,
-    distance,
     distance_matrix,
     feed_position,
-    los_probability,
     los_probability_matrix,
     pa_positions,
     sample_blockage,
     sample_users,
 )
 
-from helpers import reference_sample_users
+from helpers import oracle_distance, reference_sample_users
 
 
 def make_scenario(**kw):
@@ -161,30 +159,31 @@ def test_sample_users_matches_one_at_a_time_draw(m, room_length, room_width, see
 class TestLosProbability:
     def test_zero_distance(self):
         p = (1.0, 2.0, 3.0)
-        assert los_probability(p, p, 0.3) == 1.0
+        assert los_probability_matrix(p, p, 0.3)[0, 0] == 1.0
 
     def test_scalar_value(self):
         u, pa = (0, 0, 0), (20.0, 0, 0)
-        assert los_probability(u, pa, 0.05) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        prob = los_probability_matrix(u, pa, 0.05)[0, 0]
+        assert prob == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_beta_zero_always_one(self):
         u, pa = (0, 0, 0), (123.0, -4.0, 9.0)
-        assert los_probability(u, pa, 0.0) == 1.0
+        assert los_probability_matrix(u, pa, 0.0)[0, 0] == 1.0
 
     def test_monotone_in_distance_and_beta(self):
         u = (0, 0, 0)
         dists = [1.0, 2.0, 5.0, 10.0, 25.0]
         betas = [0.0, 0.02, 0.05, 0.15, 0.5]
         for beta in betas:
-            probs = [los_probability(u, (d, 0, 0), beta) for d in dists]
+            probs = [los_probability_matrix(u, (d, 0, 0), beta)[0, 0] for d in dists]
             assert all(a >= b for a, b in zip(probs, probs[1:]))
         for d in dists:
-            probs = [los_probability(u, (d, 0, 0), beta) for beta in betas]
+            probs = [los_probability_matrix(u, (d, 0, 0), beta)[0, 0] for beta in betas]
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            los_probability((0, 0, 0), (1, 0, 0), -0.1)
+            los_probability_matrix((0, 0, 0), (1, 0, 0), -0.1)
 
 
 class TestSampleBlockage:
@@ -231,7 +230,7 @@ class TestSampleBlockage:
 
 
 def test_distance_is_euclidean():
-    assert distance((0, 0, 0), (3.0, 4.0, 0.0)) == 5.0
+    assert distance_matrix((0, 0, 0), (3.0, 4.0, 0.0))[0, 0] == 5.0
 
 
 _POINTS = np.array([[3.0, 4.0, 0.0], [1.0, -2.0, 2.5], [7.5, 0.25, -1.0]])
@@ -244,14 +243,16 @@ _POINTS = np.array([[3.0, 4.0, 0.0], [1.0, -2.0, 2.5], [7.5, 0.25, -1.0]])
 )
 def test_distance_matrix_call_shapes(points):
     """A (3,) point counts as one row; (n, 3) arrays and lists of (3,) points
-    give one row per point. Every entry has the bits of the one-pair call."""
+    give one row per point. Every entry has the bits of the one-pair call
+    and of the plain-Python oracle."""
     origin = (0.0, 0.0, 3.0)
     rows = np.asarray(points).reshape(-1, 3)
     d = distance_matrix(points, origin)
     assert d.shape == (len(rows), 1)
     assert np.array_equal(d.T, distance_matrix(origin, points))
     for i, p in enumerate(rows):
-        assert d[i, 0].hex() == distance(tuple(p), origin).hex()
+        assert d[i, 0].hex() == distance_matrix(tuple(p), origin)[0, 0].hex()
+        assert d[i, 0].hex() == oracle_distance(p, origin).hex()
         assert d[i, 0] == pytest.approx(math.dist(p, origin), rel=1e-15)
 
 
