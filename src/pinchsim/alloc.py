@@ -6,9 +6,10 @@ with a two-stage heuristic:
   stage 1  greedy subcarrier assignment: repeatedly give the currently
            worst-off user the unassigned tone on which its channel advantage
            over the best other user is largest, tracking provisional rates
-           under an equal power split across all tones. Each user's tone
-           preference order is static, so it is sorted once and the stage
-           costs O(K log K + K M);
+           under an equal power split across all tones. A user takes only
+           tones it can use; tones no user can use go to user 0. Each user's
+           tone preference order is static, so it is sorted once and the
+           stage costs O(K log K + K M);
   stage 2  with the assignment fixed, each user water-fills an equal share
            of the power budget over its own tones; all users in one call.
 
@@ -111,18 +112,17 @@ class ToneTerms(NamedTuple):
 
     gains_sq: np.ndarray  # (M, K) |H|^2
     gains: np.ndarray  # (M, K) per-watt SNR slopes, from _per_watt
-    prefs: list  # per user, its tones in greedy's preference order
-    usable: list  # per user, its count of positive-gain tones
+    prefs: list  # per user, its positive-gain tones in greedy's preference order
 
 
 def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) -> ToneTerms:
     """ToneTerms of a channel from its squared magnitudes; reads no tx_power."""
-    tones = np.broadcast_to(np.arange(gains_sq.shape[1]), gains_sq.shape)
-    # Tone order per user: advantage desc, own gain desc, index asc.
-    order = np.lexsort((tones, -gains_sq, -_channel_advantage(gains_sq)), axis=-1)
-    prefs = list(map(memoryview, order))
-    usable = (gains_sq > 0.0).sum(axis=1).tolist()
-    return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs, usable)
+    # Tone order per user: positive gain first, then advantage desc, own gain
+    # desc, and (lexsort is stable) index asc. Only the positive prefix is kept.
+    usable = gains_sq > 0.0
+    order = np.lexsort((-gains_sq, -_channel_advantage(gains_sq), ~usable), axis=-1)
+    prefs = [memoryview(row[:n]) for row, n in zip(order, usable.sum(axis=1).tolist())]
+    return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs)
 
 
 def greedy_assign(
@@ -144,14 +144,14 @@ def greedy_assign(
 
     Ties are broken deterministically: the worst-off user by lowest index,
     the tone by largest advantage, then largest own gain, then lowest index.
-    A user that cannot gain anything from any remaining tone is permanently
-    skipped, so a fully blocked user never absorbs tones at zero benefit; if
-    every user ends up skipped, the leftover tones go to user 0 (all rates
-    are zero then anyway, but every tone must have exactly one owner).
+    A user takes only tones it can use (positive gain) and drops out for
+    good once none is left, so a blocked user never absorbs tones at zero
+    benefit. Tones no user can use go to user 0: they get zero power
+    whoever owns them, but every tone must have exactly one owner.
 
     That tone key never changes during the run; only which tones are taken
-    does. So each user sorts its tones once and walks a cursor past taken
-    ones, and the cost is O(K log K + K M) instead of a rescan per step.
+    does. So each user sorts its usable tones once and walks a cursor past
+    taken ones, and the cost is O(K log K + K M) instead of a rescan per step.
     """
     return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario)
 
@@ -166,30 +166,25 @@ def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> np.ndar
     )
     eff_df = frame.cp_efficiency * frame.subcarrier_spacing
     increments = eff_df * np.log2(1.0 + gains_sq * snr_slope)
-    usable_left = list(terms.usable)
     cursor = [0] * m_users
     provisional = [0.0] * m_users
     active = list(range(m_users))
     taken = bytearray(k_tones)
-    owner = np.zeros(k_tones, dtype=np.intp)  # leftover tones stay with user 0
+    owner = np.zeros(k_tones, dtype=np.intp)  # tones no user can use stay with user 0
 
-    remaining = k_tones
-    while remaining and active:
+    while active:
         m_star = min(active, key=provisional.__getitem__)
-        if not usable_left[m_star]:
+        pref, pos = prefs[m_star], cursor[m_star]
+        while pos < len(pref) and taken[pref[pos]]:
+            pos += 1
+        if pos == len(pref):
             active.remove(m_star)
             continue
-        pref, pos = prefs[m_star], cursor[m_star]
-        while taken[pref[pos]]:
-            pos += 1
         k_star = pref[pos]
         cursor[m_star] = pos + 1
         taken[k_star] = 1
         owner[k_star] = m_star
-        remaining -= 1
         provisional[m_star] += increments.item(m_star, k_star)
-        for m in active:
-            usable_left[m] -= gains_sq.item(m, k_star) > 0.0
     assignment = np.zeros((m_users, k_tones), dtype=np.int8)
     assignment[owner, np.arange(k_tones)] = 1
     return assignment

@@ -305,6 +305,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     jobs; aggregating in grid and drop order keeps the output independent of
     the worker count.
     """
+    if not isinstance(threads, Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     groups = [
         [scenario_for(config, value, m, beta) for value in config.axis_values]
         for m, beta in product(config.m_values, config.beta_values)
@@ -412,10 +414,10 @@ def _parse_value(key: str, text: str):
 def load_config(path) -> ExperimentConfig:
     """Parse a flat key = value config file.
 
-    Blank lines and '#' comments are ignored; unknown keys are errors so a
-    typo cannot silently fall back to a default.
+    Blank lines and '#' comments are ignored; unknown and repeated keys are
+    errors so a typo cannot silently fall back to a default or another value.
     """
-    overrides = {}
+    overrides, first = {}, {}  # key -> parsed value, and the line that set it
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -427,6 +429,9 @@ def load_config(path) -> ExperimentConfig:
             key = key.strip()
             if key not in _DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key: {key!r}")
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: {key!r} already set on line {first[key]}")
+            first[key] = lineno
             try:
                 overrides[key] = _parse_value(key, value.strip())
             except ValueError as exc:

@@ -196,10 +196,11 @@ def reference_greedy_assign(gains_sq, frame, scenario):
     rescan of every unassigned tone at each step: the oracle that
     `pinchsim.alloc.greedy_assign` must match exactly.
 
-    The worst-off active user (lowest index on ties) takes the unassigned
-    tone with the largest advantage, then largest own gain, then lowest
-    index; a user with no positive-gain tone left is skipped for good, and
-    tones left when every user is skipped go to user 0.
+    The worst-off active user (lowest index on ties) takes, among the
+    unassigned tones with positive own gain, the one with the largest
+    advantage, then largest own gain, then lowest index; a user with no such
+    tone left is skipped for good, and tones left when every user is skipped
+    (those no user can use) go to user 0.
     """
     m_users, k_tones = gains_sq.shape
     gamma = reference_channel_advantage(gains_sq)
@@ -219,9 +220,8 @@ def reference_greedy_assign(gains_sq, frame, scenario):
             break
         masked = np.where(active, provisional, np.inf)
         m_star = int(np.argmin(masked))
-        candidates = np.flatnonzero(unassigned)
-        own = gains_sq[m_star, candidates]
-        if not np.any(own > 0.0):
+        candidates = np.flatnonzero(unassigned & (gains_sq[m_star] > 0.0))
+        if not candidates.size:
             active[m_star] = False
             continue
         advantage = gamma[m_star, candidates]

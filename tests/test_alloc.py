@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ class TestGreedyAssign:
         gains_sq = np.array([[9.0, 4.0], [9.0, 0.0]])
         b = greedy_assign(gains_sq, frame, scenario)
         assert b[0, 1] == 1 and b[1, 0] == 1
+
+    def test_dead_tone_goes_to_user_0(self):
+        # No user can use tone 0, so it goes to user 0, as under the
+        # exhaustive oracle's lexicographic tie-break. User 1 ranks it above
+        # tone 3 by advantage (no other user has gain there) but takes only
+        # tones it can use. Tone 0 gets no power, whoever owns it.
+        frame, scenario = unit_setup(2, 4)
+        gains_sq = np.array([[0.0, 5.0, 0.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+        b = greedy_assign(gains_sq, frame, scenario)
+        assert np.array_equal(b, np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int8))
+        out = allocate(grid_from_h(np.sqrt(gains_sq)), frame, scenario)
+        assert np.array_equal(out.assignment, b)
+        assert [r.hex() for r in out.rates] == ["0x1.ceaecfea8085bp+0", "0x1.0000000000000p+0"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -354,6 +368,27 @@ def test_allocate_equals_per_user_reference(gains_sq, scale, tx_powers):
         assert np.array_equal(_bits(got.rates), _bits(want.rates))
         assert np.array_equal(got.unusable_budget, want.unusable_budget)
         assert np.array_equal(_bits(allocate(grid, frame, sc).rates), _bits(want.rates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gains_sq=gain_instances(), tx_power=st.floats(0.01, 100.0), data=st.data())
+def test_dead_tone_owner_changes_no_power_or_rate(gains_sq, tx_power, data):
+    """A tone on which every user has zero gain gets zero power whoever owns
+    it: moving each such tone to any owner leaves the water-filled power, the
+    rates and the unusable flags of allocate unchanged, bit for bit."""
+    frame, scenario = unit_setup(*gains_sq.shape, tx_power=tx_power)
+    grid = grid_from_h(np.sqrt(gains_sq))
+    want = allocate(grid, frame, scenario)
+    moved = want.assignment.copy()
+    for k in np.flatnonzero(~gains_sq.any(axis=0)):
+        moved[:, k] = 0
+        moved[data.draw(st.integers(0, gains_sq.shape[0] - 1)), k] = 1
+    with mock.patch.object(pinchsim.alloc, "_greedy", return_value=moved):
+        got = allocate(grid, frame, scenario)
+    assert np.array_equal(got.assignment, moved)
+    assert np.array_equal(_bits(got.power), _bits(want.power))
+    assert np.array_equal(_bits(got.rates), _bits(want.rates))
+    assert np.array_equal(got.unusable_budget, want.unusable_budget)
 
 
 class TestAllocate:

@@ -1,6 +1,6 @@
-"""Demo scripts and the README quick start: the fast demos and the quick
-start run end to end, and every name that a demo, a `dropbench` script or a
-README example imports from pinchsim exists, so a removed export fails here."""
+"""Demo scripts and the README quick start: every demo and the quick start
+run end to end, and every name that a demo, a `dropbench` script or a README
+example imports from pinchsim exists, so a removed export fails here."""
 
 import ast
 import importlib
@@ -12,8 +12,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
-# min_rate_sweep runs Monte Carlo sweeps; only its imports are checked.
-FAST = ["channel_selectivity", "frame_design", "greedy_vs_exhaustive", "waterfilling"]
+FAST = [
+    "channel_selectivity",
+    "frame_design",
+    "greedy_vs_exhaustive",
+    "min_rate_sweep",
+    "waterfilling",
+]
 
 README = (ROOT / "README.md").read_text()
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)

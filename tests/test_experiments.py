@@ -237,6 +237,13 @@ class TestRunSweep:
             run_sweep(small_config(drops=2), threads=2)
         assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, 1.0, "2"])
+    def test_bad_thread_count_is_an_error(self, threads, monkeypatch):
+        monkeypatch.setattr(experiments, "_drop_chunk", failing_drop_chunk)
+        message = f"threads must be an integer >= 1, got {threads!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(small_config(drops=2), threads=threads)
+
     def test_channel_built_once_per_drop_across_power_levels(self, monkeypatch):
         """The grid and the allocation's power-free terms (the channel
         advantage and the tone orders) are built once per channel."""
@@ -552,8 +559,14 @@ class TestLoadConfig:
     )
     def test_bad_value_names_the_file(self, tmp_path, line, message):
         path = tmp_path / "cfg.txt"
-        path.write_text(f"axis = pa_count\n{line}\n")
+        path.write_text(f"# one bad value on line 2\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+            load_config(path)
+
+    def test_repeated_key_is_an_error(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("drops = 5\n# later\ndrops = 7\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: 'drops' already set on line 1")):
             load_config(path)
 
     def test_float_axis_values_for_power(self, tmp_path):
