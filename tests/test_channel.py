@@ -358,3 +358,60 @@ class TestChannelGrid:
         grid = channel_grid(synthetic_realization(gains, delays), self.frame())
         assert np.all(grid.h[0] == 0)
         assert np.any(grid.h[1] != 0)
+
+    @staticmethod
+    def assert_bits_of_direct_form(r, frame):
+        """Every row of the grid has the bits of `frequency_response` on the
+        grid's offsets, compared as uint64 words so signed zeros count."""
+        grid = channel_grid(r, frame)
+        assert grid.h.shape == (r.n_users, frame.n_subcarriers)
+        for m in range(r.n_users):
+            want = frequency_response(r, m, grid.subcarrier_freqs)
+            np.testing.assert_array_equal(grid.h[m].view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2_k=st.integers(0, 12),
+        n_pas=st.integers(1, 30),
+        n_users=st.integers(1, 4),
+        bandwidth=st.floats(1e6, 1e10),
+        blocked=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_direct_form(self, log2_k, n_pas, n_users, bandwidth, blocked, seed):
+        """K from 1 to 4096 and delays up to 300 ns, so phases reach
+        thousands of radians as on a 6.5 GHz drop; some taps are zero, some
+        delays are exactly 0, and drawn users are blocked (all-zero rows)."""
+        rng = np.random.default_rng(seed)
+        shape = (n_users, n_pas)
+        gains = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        gains[rng.random(shape) < 0.2] = 0
+        gains[np.array(blocked[:n_users])] = 0
+        delays = rng.uniform(0.0, 300e-9, size=shape)
+        delays[rng.random(shape) < 0.1] = 0.0
+        r = synthetic_realization(gains, delays)
+        self.assert_bits_of_direct_form(r, self.frame(k=2**log2_k, b=bandwidth))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bits_equal_direct_form_at_k_1_and_2(self, k):
+        gains = [[1.0 + 0.3j, 0.8 - 0.6j, 0.0], [0.0, 0.0, 0.0]]
+        delays = [[0.0, 24e-9, 250e-9], [1e-9, 2e-9, 3e-9]]
+        r = synthetic_realization(gains, delays)
+        self.assert_bits_of_direct_form(r, self.frame(k=k, b=6.5e9))
+
+
+def test_complex_exp_is_conjugate_symmetric():
+    """`channel_grid` takes each negative-offset tone's phasors as the
+    conjugates of its mirror tone's, which has the bits of the direct form
+    only if exp(-z) == conj(exp(z)) bit for bit for z = -2j pi o tau."""
+    rng = np.random.default_rng(13)
+    taus = np.concatenate([np.linspace(0.0, 300e-9, 301), rng.uniform(0.0, 300e-9, 30)])
+    for spacing in (20e6 / 16, 500e6 / 512, 6.5e9 / 4096, rng.uniform(1e3, 1e7)):
+        offsets = np.arange(2049) * spacing
+        for z in (-2j * np.pi * offsets[:, None] * taus, -2j * np.pi * -offsets[:, None] * taus):
+            assert np.array_equal(
+                np.exp(-z).view(np.uint64), np.conj(np.exp(z)).view(np.uint64)
+            ), (
+                "numpy's complex exp is not conjugate-symmetric here: channel_grid's "
+                "mirrored tones assume an odd-symmetric libm (even cos, odd sin)"
+            )
