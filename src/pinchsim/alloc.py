@@ -8,8 +8,10 @@ with a two-stage heuristic:
            over the best other user is largest, tracking provisional rates
            under an equal power split across all tones. A user takes only
            tones it can use; tones no user can use go to user 0. Each user's
-           tone preference order is static, so it is sorted once and the
-           stage costs O(K log K + K M);
+           tone preference order is static, so it is sorted once (one
+           argsort, with an exact lexsort when keys tie); a heap of
+           (provisional, index) picks the worst-off user and each user walks
+           its order lazily, so the stage costs O(K log K + K log M);
   stage 2  with the assignment fixed, each user water-fills an equal share
            of the power budget over its own tones; all users in one call.
 
@@ -22,6 +24,7 @@ and rate code, is the optimality reference for small instances.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,9 +121,17 @@ class ToneTerms(NamedTuple):
 def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) -> ToneTerms:
     """ToneTerms of a channel from its squared magnitudes; reads no tx_power."""
     # Tone order per user: positive gain first, then advantage desc, own gain
-    # desc, and (lexsort is stable) index asc. Only the positive prefix is kept.
+    # desc, then index asc; only the positive prefix is kept. One argsort on
+    # the advantage puts the usable tones first (unusable ones key +inf). If
+    # no two usable tones of a row share a key, that order is the only one,
+    # whatever the sort algorithm; otherwise the stable 3-key lexsort decides.
     usable = gains_sq > 0.0
-    order = np.lexsort((-gains_sq, -_channel_advantage(gains_sq), ~usable), axis=-1)
+    advantage = _channel_advantage(gains_sq)
+    keys = np.where(usable, -advantage, np.inf)
+    order = np.argsort(keys, axis=-1)
+    ranked = np.sort(keys, axis=-1)
+    if (ranked[:, 1:] == ranked[:, :-1])[ranked[:, 1:] < np.inf].any():
+        order = np.lexsort((-gains_sq, -advantage, ~usable), axis=-1)
     prefs = [memoryview(row[:n]) for row, n in zip(order, usable.sum(axis=1).tolist())]
     return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs)
 
@@ -150,8 +161,12 @@ def greedy_assign(
     whoever owns them, but every tone must have exactly one owner.
 
     That tone key never changes during the run; only which tones are taken
-    does. So each user sorts its usable tones once and walks a cursor past
-    taken ones, and the cost is O(K log K + K M) instead of a rescan per step.
+    does. So each user's usable tones are sorted once, by one argsort on the
+    advantage; only when two usable tones of a user tie on it does the exact
+    3-key lexsort decide. The worst-off user is the head of a heap of
+    (provisional, index) pairs, and it walks its (tone, increment) pairs
+    lazily past taken tones. The cost is O(K log K + K log M) instead of a
+    rescan per step, plus one cheap skip per (user, tone) passed over.
     """
     return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario)
 
@@ -166,25 +181,25 @@ def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> np.ndar
     )
     eff_df = frame.cp_efficiency * frame.subcarrier_spacing
     increments = eff_df * np.log2(1.0 + gains_sq * snr_slope)
-    cursor = [0] * m_users
-    provisional = [0.0] * m_users
-    active = list(range(m_users))
+    # Each user's lazy walk over its (tone, increment) pairs in its order.
+    walks = [zip(pref, memoryview(row.take(pref))) for row, pref in zip(increments, prefs)]
+    # (provisional rate, user): the heap's head is the worst-off user, lowest
+    # index on ties. Increments are >= 0 and never nan, so the order is total.
+    heap = [(0.0, m) for m in range(m_users)]
     taken = bytearray(k_tones)
     owner = np.zeros(k_tones, dtype=np.intp)  # tones no user can use stay with user 0
+    owned = memoryview(owner)  # per-step writes skip numpy's scalar conversion
 
-    while active:
-        m_star = min(active, key=provisional.__getitem__)
-        pref, pos = prefs[m_star], cursor[m_star]
-        while pos < len(pref) and taken[pref[pos]]:
-            pos += 1
-        if pos == len(pref):
-            active.remove(m_star)
-            continue
-        k_star = pref[pos]
-        cursor[m_star] = pos + 1
-        taken[k_star] = 1
-        owner[k_star] = m_star
-        provisional[m_star] += increments.item(m_star, k_star)
+    while heap:
+        provisional, m_star = heap[0]
+        for k_star, inc in walks[m_star]:
+            if not taken[k_star]:
+                taken[k_star] = 1
+                owned[k_star] = m_star
+                heapq.heapreplace(heap, (provisional + inc, m_star))
+                break
+        else:
+            heapq.heappop(heap)
     assignment = np.zeros((m_users, k_tones), dtype=np.int8)
     assignment[owner, np.arange(k_tones)] = 1
     return assignment

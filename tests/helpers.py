@@ -1,14 +1,21 @@
 """Shared builders for synthetic channels and frames used across tests, the
-per-user loops that the array code must match bit for bit, and a per-link
-oracle of the channel formulas in plain Python scalars."""
+per-user loops that the array code must match bit for bit, a per-link
+oracle of the channel formulas in plain Python scalars, and a runner for
+code under numpy's lowest CPU dispatch level."""
 
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import pinchsim
 from pinchsim.alloc import Allocation
 from pinchsim.baselines import maxmin_time_shares
 from pinchsim.channel import (
@@ -17,8 +24,11 @@ from pinchsim.channel import (
     ChannelRealization,
     path_loss_constant,
 )
+from pinchsim.experiments import _drop_channel, load_config, scenario_for
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import Scenario, center_pa_position
+
+BENCH_WORKLOADS = Path(__file__).parent.parent / "dropbench" / "workloads"
 
 # The per-link oracle: one link at a time in math/cmath floats, written apart
 # from the (M, N) array code it checks, in the same operation order. Squares
@@ -191,6 +201,16 @@ def reference_channel_advantage(gains_sq):
     return gamma
 
 
+def reference_tone_orders(gains_sq):
+    """Each user's positive-gain tones ordered by one stable 3-key lexsort:
+    advantage desc, own gain desc, index asc. The oracle of the preference
+    orders `pinchsim.alloc._tone_terms` keeps as ToneTerms.prefs."""
+    usable = gains_sq > 0.0
+    keys = (-gains_sq, -reference_channel_advantage(gains_sq), ~usable)
+    order = np.lexsort(keys, axis=-1)
+    return [row[:n].tolist() for row, n in zip(order, usable.sum(axis=1).tolist())]
+
+
 def reference_greedy_assign(gains_sq, frame, scenario):
     """Max-min greedy tone assignment (Rhee & Cioffi, VTC 2000) written as a
     rescan of every unassigned tone at each step: the oracle that
@@ -263,6 +283,78 @@ def gain_instances(draw):
     if dead_col is not None:
         gains_sq[:, dead_col] = 0.0
     return gains_sq
+
+
+@st.composite
+def tied_gain_instances(draw):
+    """gain_instances grids with exact ties in the tone key forced in: copied
+    columns, columns scaled by a power of two (same advantage, other own
+    gain), columns where one user alone has gain (advantage +inf), and equal
+    own gains of one user."""
+    gains_sq = draw(gain_instances())
+    m, k = gains_sq.shape
+    cols = st.integers(0, k - 1)
+    for src, dst in draw(st.lists(st.tuples(cols, cols), max_size=4)):
+        gains_sq[:, dst] = gains_sq[:, src]
+    for src, dst in draw(st.lists(st.tuples(cols, cols), max_size=4)):
+        gains_sq[:, dst] = gains_sq[:, src] * draw(st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    user = draw(st.integers(0, m - 1))
+    for col in draw(st.lists(cols, max_size=4)):
+        gains_sq[:, col] = 0.0
+        gains_sq[user, col] = draw(st.sampled_from([1.0, 3.0]))
+    for col in draw(st.lists(cols, max_size=4)):
+        gains_sq[user, col] = 1.0
+    return gains_sq
+
+
+def pinned_drop(workload, axis_value, n_users, beta, drop):
+    """(|H|^2, frame, scenario) of one drop of a benchmark workload's grid
+    point at the pinned master seed 1, built as the sweep builds it."""
+    config = replace(load_config(BENCH_WORKLOADS / f"{workload}.cfg"), master_seed=1)
+    scenario = scenario_for(config, axis_value, n_users, beta)
+    channel = _drop_channel(scenario, config.master_seed, drop)
+    return channel.tones.gains_sq, channel.frame, scenario
+
+
+def dispatched_cpu_features():
+    """The CPU features numpy dispatches to at run time that this host has."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+
+
+# Prepended to the child's code: fails unless every feature named in
+# NPY_DISABLE_CPU_FEATURES reads off.
+_DISPATCH_OFF_GUARD = """
+import os
+from numpy._core import _multiarray_umath as _umath
+_off = os.environ["NPY_DISABLE_CPU_FEATURES"].split(",")
+_found = [f for f in _off if f and _umath.__cpu_features__[f]]
+if _found:
+    raise SystemExit(f"still dispatched: {_found}")
+"""
+
+
+def run_with_cpu_dispatch_off(code, *args):
+    """Run `code` (with `args` as sys.argv[1:]) in a fresh interpreter that
+    imports pinchsim from the same sources, with NPY_DISABLE_CPU_FEATURES
+    naming every dispatched feature this host has, so numpy runs its
+    baseline kernels. The child first checks that those features read off.
+    Returns its stdout; a failing child fails the caller with its stderr."""
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=",".join(dispatched_cpu_features()),
+        PYTHONPATH=str(Path(pinchsim.__file__).resolve().parents[1]),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_OFF_GUARD + code, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def reference_waterfill(gains, budget):

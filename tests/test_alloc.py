@@ -1,6 +1,7 @@
 """Greedy subcarrier assignment, water-filling and the exhaustive reference."""
 
 import math
+import pickle
 from dataclasses import replace
 from unittest import mock
 
@@ -29,13 +30,17 @@ from helpers import (
     gain_instances,
     grid_from_h,
     make_frame,
+    pinned_drop,
     random_grid,
     reference_allocate,
     reference_channel_advantage,
     reference_exhaustive_oracle,
     reference_greedy_assign,
+    reference_tone_orders,
     reference_user_rate,
     reference_waterfill,
+    run_with_cpu_dispatch_off,
+    tied_gain_instances,
     unit_scenario,
 )
 
@@ -171,6 +176,39 @@ class TestGreedyAssign:
         assert np.array_equal(out.assignment, b)
         assert [r.hex() for r in out.rates] == ["0x1.ceaecfea8085bp+0", "0x1.0000000000000p+0"]
 
+    def test_identical_users_take_turns_by_index(self):
+        # Equal rows and equal gains: every tone key ties and the provisional
+        # rates are exactly equal after each round, so each round the lowest
+        # index goes first and tone k goes to user k % M.
+        m, k = 3, 12
+        frame, scenario = unit_setup(m, k)
+        b = greedy_assign(np.ones((m, k)), frame, scenario)
+        expected = (np.arange(k) % m == np.arange(m)[:, None]).astype(np.int8)
+        assert np.array_equal(b, expected)
+        assert np.array_equal(b, reference_greedy_assign(np.ones((m, k)), frame, scenario))
+
+    def test_zero_increment_keeps_user_at_head(self):
+        # log2(1 + 1e-20 * slope) rounds to 0, so user 0 stays worst-off at
+        # 0.0 and, winning the tie by index, takes every tone it can use
+        # before user 1 gets one.
+        frame, scenario = unit_setup(2, 5)
+        gains_sq = np.array([[1e-20, 0.0, 2e-20, 0.0, 3e-20], [1.0, 1.0, 1.0, 1.0, 1.0]])
+        assert np.log2(1.0 + gains_sq[0].max() * scenario.tx_power / 5) == 0.0
+        b = greedy_assign(gains_sq, frame, scenario)
+        assert np.array_equal(b, np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]], dtype=np.int8))
+        assert np.array_equal(b, reference_greedy_assign(gains_sq, frame, scenario))
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_more_users_than_tones_with_ties(self, m):
+        # Users past the K-th never take a tone; each leaves the heap once
+        # every tone is taken.
+        frame, scenario = unit_setup(m, 2)
+        gains_sq = np.ones((m, 2))
+        gains_sq[1:, 1] = 2.0
+        b = greedy_assign(gains_sq, frame, scenario)
+        assert np.array_equal(b, reference_greedy_assign(gains_sq, frame, scenario))
+        assert np.array_equal(b.sum(axis=0), np.ones(2, dtype=np.int8))
+
 
 @settings(max_examples=300, deadline=None)
 @given(gains_sq=gain_instances(), tx_power=st.floats(0.01, 100.0))
@@ -182,6 +220,99 @@ def test_greedy_assign_equals_rescanning_reference(gains_sq, tx_power):
         greedy_assign(gains_sq, frame, scenario),
         reference_greedy_assign(gains_sq, frame, scenario),
     )
+
+
+# Pinned benchmark drops: (workload, axis value, M, beta, drop). The
+# wideband ones are K = 4096, M = 4, with hundreds of tones skipped per
+# drop; the paper_sweep ones have tied tone keys.
+WIDEBAND_DROPS = [("wideband", 10, 4, 0.05, d) for d in range(3)]
+TIED_PAPER_DROPS = [
+    ("paper_sweep", 5, 2, 0.15, 13),
+    ("paper_sweep", 5, 4, 0.05, 4),
+    ("paper_sweep", 5, 4, 0.15, 16),
+]
+
+
+def _tone_orders(gains_sq, frame, scenario):
+    return [list(pref) for pref in _tone_terms(gains_sq, frame, scenario).prefs]
+
+
+class TestToneOrders:
+    @settings(max_examples=300, deadline=None)
+    @given(gains_sq=gain_instances() | tied_gain_instances())
+    def test_equal_reference_lexsort(self, gains_sq):
+        frame, scenario = unit_setup(*gains_sq.shape)
+        assert _tone_orders(gains_sq, frame, scenario) == reference_tone_orders(gains_sq)
+
+    def test_lexsort_only_on_tied_keys(self):
+        # Distinct advantages: the argsort order is the only one. Tone 2
+        # copies tone 0, so both users then tie on a key.
+        frame, scenario = unit_setup(2, 4)
+        free = np.array([[4.0, 1.0, 3.0, 0.0], [1.0, 2.0, 0.5, 5.0]])
+        tied = free.copy()
+        tied[:, 2] = tied[:, 0]
+        for gains_sq, calls in ((free, 0), (tied, 1)):
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+                orders = _tone_orders(gains_sq, frame, scenario)
+            assert spy.call_count == calls
+            assert orders == reference_tone_orders(gains_sq)
+
+    def test_underflowing_advantages_tie_at_zero(self):
+        # Both of user 0's tones have an advantage that rounds to 0.0, so
+        # both key -0.0: a tie that only the lexsort breaks, by own gain
+        # (tone 1 first). Users 1 and 2 have distinct keys.
+        frame, scenario = unit_setup(3, 2)
+        gains_sq = np.array([[1e-320, 2e-320], [1e10, 2e10], [2e10, 1e10]])
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+            orders = _tone_orders(gains_sq, frame, scenario)
+        assert spy.call_count == 1
+        assert orders == [[1, 0], [1, 0], [0, 1]] == reference_tone_orders(gains_sq)
+
+    @pytest.mark.parametrize("drop", WIDEBAND_DROPS + TIED_PAPER_DROPS)
+    def test_full_size_drops(self, drop):
+        gains_sq, frame, scenario = pinned_drop(*drop)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+            orders = _tone_orders(gains_sq, frame, scenario)
+        assert spy.call_count == (1 if drop in TIED_PAPER_DROPS else 0)
+        assert orders == reference_tone_orders(gains_sq)
+
+
+@pytest.mark.parametrize("drop", WIDEBAND_DROPS + TIED_PAPER_DROPS)
+def test_greedy_assign_equals_reference_on_full_size_drops(drop):
+    gains_sq, frame, scenario = pinned_drop(*drop)
+    assert np.array_equal(
+        greedy_assign(gains_sq, frame, scenario),
+        reference_greedy_assign(gains_sq, frame, scenario),
+    )
+
+
+DISPATCH_OFF_CHILD = """
+import pickle, sys
+from pathlib import Path
+from pinchsim.alloc import _tone_terms, greedy_assign
+cases = pickle.loads(Path(sys.argv[1]).read_bytes())
+out = [
+    ([bytes(p) for p in _tone_terms(*case).prefs], greedy_assign(*case).tobytes())
+    for case in cases
+]
+Path(sys.argv[2]).write_bytes(pickle.dumps(out))
+"""
+
+
+def test_tone_orders_and_greedy_do_not_depend_on_cpu_dispatch(tmp_path):
+    """numpy's argsort takes a SIMD path on hosts that have one; with every
+    dispatched feature off, the orders and assignments keep their bytes."""
+    rng = np.random.default_rng(5)
+    noise = np.abs(rng.normal(size=(4, 4096)) + 1j * rng.normal(size=(4, 4096))) ** 2
+    cases = [pinned_drop(*drop) for drop in WIDEBAND_DROPS[:1] + TIED_PAPER_DROPS]
+    cases.append((noise, *unit_setup(4, 4096)))
+    (tmp_path / "cases.pkl").write_bytes(pickle.dumps(cases))
+    run_with_cpu_dispatch_off(DISPATCH_OFF_CHILD, tmp_path / "cases.pkl", tmp_path / "out.pkl")
+    expected = [
+        ([bytes(p) for p in _tone_terms(*case).prefs], greedy_assign(*case).tobytes())
+        for case in cases
+    ]
+    assert pickle.loads((tmp_path / "out.pkl").read_bytes()) == expected
 
 
 class TestChannelAdvantage:
