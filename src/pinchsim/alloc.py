@@ -104,7 +104,7 @@ def _channel_advantage(gains_sq: np.ndarray) -> np.ndarray:
     others = gains_sq.copy()
     others[gains_sq.argmax(axis=0), np.arange(gains_sq.shape[1])] = 0.0
     denom = np.where(gains_sq == best, others.max(axis=0), best)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = gains_sq / denom
     gamma[denom == 0.0] = np.inf
     return gamma
@@ -120,18 +120,17 @@ class ToneTerms(NamedTuple):
 
 def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) -> ToneTerms:
     """ToneTerms of a channel from its squared magnitudes; reads no tx_power."""
-    # Tone order per user: positive gain first, then advantage desc, own gain
-    # desc, then index asc; only the positive prefix is kept. One argsort on
-    # the advantage puts the usable tones first (unusable ones key +inf). If
-    # no two usable tones of a row share a key, that order is the only one,
-    # whatever the sort algorithm; otherwise the stable 3-key lexsort decides.
+    # Per user: usable tones by advantage desc, own gain desc, index asc. With
+    # unusable tones keyed +inf, one argsort gives that order whatever the
+    # kernel, unless two usable tones of a row tie on the key (np.sort finds
+    # ties faster than a gather of the argsorted keys); then the stable
+    # lexsort on (key, -own gain) decides. Only the usable prefix is kept.
     usable = gains_sq > 0.0
-    advantage = _channel_advantage(gains_sq)
-    keys = np.where(usable, -advantage, np.inf)
+    keys = np.where(usable, -_channel_advantage(gains_sq), np.inf)
     order = np.argsort(keys, axis=-1)
     ranked = np.sort(keys, axis=-1)
     if (ranked[:, 1:] == ranked[:, :-1])[ranked[:, 1:] < np.inf].any():
-        order = np.lexsort((-gains_sq, -advantage, ~usable), axis=-1)
+        order = np.lexsort((-gains_sq, keys), axis=-1)
     prefs = [memoryview(row[:n]) for row, n in zip(order, usable.sum(axis=1).tolist())]
     return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs)
 
@@ -159,14 +158,6 @@ def greedy_assign(
     good once none is left, so a blocked user never absorbs tones at zero
     benefit. Tones no user can use go to user 0: they get zero power
     whoever owns them, but every tone must have exactly one owner.
-
-    That tone key never changes during the run; only which tones are taken
-    does. So each user's usable tones are sorted once, by one argsort on the
-    advantage; only when two usable tones of a user tie on it does the exact
-    3-key lexsort decide. The worst-off user is the head of a heap of
-    (provisional, index) pairs, and it walks its (tone, increment) pairs
-    lazily past taken tones. The cost is O(K log K + K log M) instead of a
-    rescan per step, plus one cheap skip per (user, tone) passed over.
     """
     return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario)
 
@@ -186,22 +177,20 @@ def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> np.ndar
     # (provisional rate, user): the heap's head is the worst-off user, lowest
     # index on ties. Increments are >= 0 and never nan, so the order is total.
     heap = [(0.0, m) for m in range(m_users)]
-    taken = bytearray(k_tones)
-    owner = np.zeros(k_tones, dtype=np.intp)  # tones no user can use stay with user 0
-    owned = memoryview(owner)  # per-step writes skip numpy's scalar conversion
+    owner = np.full(k_tones, -1, dtype=np.intp)  # -1 until a user takes the tone
+    owned = memoryview(owner)  # per-step access skips numpy's scalar conversion
 
     while heap:
         provisional, m_star = heap[0]
         for k_star, inc in walks[m_star]:
-            if not taken[k_star]:
-                taken[k_star] = 1
+            if owned[k_star] < 0:
                 owned[k_star] = m_star
                 heapq.heapreplace(heap, (provisional + inc, m_star))
                 break
         else:
             heapq.heappop(heap)
     assignment = np.zeros((m_users, k_tones), dtype=np.int8)
-    assignment[owner, np.arange(k_tones)] = 1
+    assignment[np.maximum(owner, 0), np.arange(k_tones)] = 1  # tones no user can use go to user 0
     return assignment
 
 

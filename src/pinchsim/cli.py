@@ -24,6 +24,7 @@ from dataclasses import fields, replace
 from .experiments import (
     ExperimentConfig,
     _usable_dbm,
+    _write,
     emit_csv,
     emit_json,
     load_config,
@@ -117,8 +118,7 @@ def _trace(args) -> int:
     scenario = scenario_for(point, args.n_pas, args.n_users, args.beta)
     text = json.dumps(trace_drop(scenario, config.master_seed, args.index), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, "trace JSON", text)
         print(f"wrote trace to {args.out}")
     else:
         print(text)

@@ -116,16 +116,19 @@ class ExperimentConfig:
             raise ValueError("drops must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if not self.axis_values:
-            raise ValueError("axis_values must be nonempty")
+        for name in ("axis_values", "m_values", "beta_values"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate entries: {values}")
         if self.axis == "tx_power" and not all(map(_usable_dbm, self.axis_values)):
             raise ValueError(
-                f"transmit powers must be finite, with finite watts > 0, got {self.axis_values}"
+                "axis_values: transmit powers must be finite, with finite watts > 0, "
+                f"got {self.axis_values}"
             )
         if list(self.axis_values) != sorted(self.axis_values):
             raise ValueError("axis_values must be sorted ascending")
-        if not self.m_values or not self.beta_values:
-            raise ValueError("m_values and beta_values must be nonempty")
         if any(m < 1 for m in self.m_values):
             raise ValueError(f"m_values must be >= 1, got {self.m_values}")
         if not all(0 <= beta < math.inf for beta in self.beta_values):
@@ -133,11 +136,9 @@ class ExperimentConfig:
         if self.axis == "pa_count" and not all(
             v >= 1 and float(v).is_integer() for v in self.axis_values
         ):
-            raise ValueError(f"PA counts must be integers >= 1, got {self.axis_values}")
-        for name in ("axis_values", "m_values", "beta_values"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} has duplicate entries: {values}")
+            raise ValueError(
+                f"axis_values: PA counts must be integers >= 1, got {self.axis_values}"
+            )
         if self.pa_count < 1:
             raise ValueError(f"pa_count must be >= 1, got {self.pa_count}")
         for name in ("noise_dbm", "tx_power_dbm"):
@@ -145,7 +146,8 @@ class ExperimentConfig:
             if not _usable_dbm(value):
                 raise ValueError(f"{name} must be finite, with finite watts > 0, got {value}")
         # Scenario checks the room, carrier and band constants it shares
-        # with the config, under the same names.
+        # with the config, under the same names. Every message above and in
+        # Scenario starts with the name of the field it rejects.
         scenario_for(self, self.axis_values[0], self.m_values[0], self.beta_values[0])
 
 
@@ -160,15 +162,10 @@ def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float
     return Scenario(
         n_pas=n_pas,
         n_users=n_users,
-        room_length=config.room_length,
-        room_width=config.room_width,
-        waveguide_height=config.waveguide_height,
-        carrier_freq=config.carrier_freq,
-        refractive_index=config.refractive_index,
         blockage_density=beta,
-        bandwidth=config.bandwidth,
         tx_power=tx_power,
         noise_power=dbm_to_watts(config.noise_dbm),
+        **{k: v for k, v in vars(config).items() if k in Scenario.__dataclass_fields__},
     )
 
 
@@ -368,6 +365,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write(path, what: str, text: str) -> None:
+    """Write text and a final newline to path; a failure names what and where."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def emit_csv(result: SweepResult, path) -> None:
     """Write one row per (scheme, axis value, user count, beta).
 
@@ -375,21 +381,12 @@ def emit_csv(result: SweepResult, path) -> None:
     representation, trailing newline.
     """
     lines = [_CSV_HEADER] + [",".join(map(_fmt, row.values())) for row in _rows(result)]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
+    _write(path, "sweep CSV", "\n".join(lines))
 
 
 def emit_json(result: SweepResult, path) -> None:
     """JSON mirror of the CSV rows (same fields)."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_rows(result), fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep JSON to {path}: {exc}") from exc
+    _write(path, "sweep JSON", json.dumps(_rows(result), indent=2))
 
 
 # Config files are flat key = value text; keys and value types mirror
@@ -439,7 +436,10 @@ def load_config(path) -> ExperimentConfig:
     try:
         return ExperimentConfig(**overrides)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        # The message starts with the rejected field: name the line that set it.
+        key = str(exc).partition(" ")[0].rstrip(":")
+        where = f":{first[key]}" if key in first else ""
+        raise ValueError(f"{path}{where}: {exc}") from exc
 
 
 def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -339,6 +340,13 @@ class TestChannelAdvantage:
         assert np.all(_channel_advantage(gains_sq)[:, 0] == np.inf)
         assert np.all(_channel_advantage(gains_sq[:1]) == np.inf)
         assert np.all(_channel_advantage(np.zeros((1, 3))) == np.inf)
+
+    def test_ratio_past_the_float_range_is_infinite_without_warning(self):
+        gains_sq = np.array([[1e300], [1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = _channel_advantage(gains_sq)
+        assert gamma[0, 0] == np.inf and gamma[1, 0] == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(gains_sq=gain_instances())

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import pinchsim
 from pinchsim.cli import main
+from pinchsim.experiments import SweepResult, emit_csv, emit_json
 
 
 def read_rows(path):
@@ -320,6 +322,22 @@ def test_bad_input_is_a_usage_error_before_any_drop(
     assert named in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("what", ["sweep CSV", "sweep JSON", "trace JSON"])
+def test_failing_write_names_what_and_the_path(tmp_path, what):
+    """A write that fails after the path checks passed (here a file name
+    longer than any file system takes) names what it wrote and where."""
+    path = tmp_path / ("x" * 300)
+    result = SweepResult(points=[], master_seed=0)
+    trace = ["trace-drop", "--seed", "1", "--index", "0", "--n-pas", "2", "--out", str(path)]
+    write = {
+        "sweep CSV": lambda: emit_csv(result, path),
+        "sweep JSON": lambda: emit_json(result, path),
+        "trace JSON": lambda: main(trace),
+    }[what]
+    with pytest.raises(OSError, match=re.escape(f"cannot write {what} to {path}: ")):
+        write()
 
 
 def test_usage_error_exit_status_of_the_module(tmp_path):

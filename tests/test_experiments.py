@@ -131,8 +131,10 @@ class TestExperimentConfig:
         ],
     )
     def test_rejects_invalid_values(self, kw, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as exc:
             ExperimentConfig(**kw)
+        # load_config names the line of the field the message starts with.
+        assert str(exc.value).partition(" ")[0].rstrip(":") in kw
 
     @pytest.mark.parametrize(
         "kw",
@@ -479,7 +481,7 @@ class TestEmitCsv:
     def test_write_failure_carries_path(self, tmp_path):
         result = SweepResult(points=[], master_seed=0)
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
-        with pytest.raises(OSError, match="no"):
+        with pytest.raises(OSError, match=re.escape(f"cannot write sweep CSV to {missing_dir}: ")):
             emit_csv(result, missing_dir)
 
 
@@ -546,20 +548,44 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("drops = 2.5", ":2: bad value for drops: invalid literal"),
-            ("m_values = 2, x", ":2: bad value for m_values: invalid literal"),
+            ("drops = 2.5", ": bad value for drops: invalid literal"),
+            ("m_values = 2, x", ": bad value for m_values: invalid literal"),
+            ("drops = 0", ": drops must be >= 1"),
             ("m_values = 0", ": m_values must be >= 1"),
+            ("m_values = 2, 2", ": m_values has duplicate entries"),
+            ("beta_values = 0.1, inf", ": beta_values must be >= 0 and finite"),
             ("master_seed = -1", ": master_seed must be >= 0"),
             ("pa_count = 0", ": pa_count must be >= 1"),
+            ("room_width = 0", ": room_width must be finite and > 0"),
             ("bandwidth = -5", ": bandwidth must be finite and > 0"),
             ("refractive_index = 0.5", ": refractive_index must be finite and >= 1"),
+            ("noise_dbm = 4000", ": noise_dbm must be finite"),
             ("tx_power_dbm = inf", ": tx_power_dbm must be finite"),
-            ("axis = tx_power\naxis_values = 0, inf", ": transmit powers must be finite"),
+            ("axis = tx_power\naxis_values = 0, inf", ": axis_values: transmit powers must be"),
+            ("axis = pa_count\naxis_values = 2.5", ": axis_values: PA counts must be integers"),
         ],
     )
     def test_bad_value_names_the_file(self, tmp_path, line, message):
+        """The error names the file and the line that set the rejected value:
+        here the last line."""
         path = tmp_path / "cfg.txt"
-        path.write_text(f"# one bad value on line 2\n{line}\n")
+        path.write_text(f"# one bad value, on the last line\n{line}\n")
+        last = 2 + line.count("\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{last}{message}")):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # 4000 alone is a valid PA count: the rule depends on the axis,
+            # and it blames axis_values, not the axis line that came later.
+            ("axis_values = 0, 4000\naxis = tx_power\n", ":1: axis_values: transmit powers must"),
+            ("axis_values = 10, 5\ndrops = 3\n", ":1: axis_values must be sorted ascending"),
+        ],
+    )
+    def test_bad_value_names_the_line_that_set_it(self, tmp_path, text, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path) + message)):
             load_config(path)
 
