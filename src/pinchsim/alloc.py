@@ -17,6 +17,7 @@ with a two-stage heuristic:
 
 Only the greedy increments and the water-filling read the transmit power;
 the rest is a ToneTerms record shared by all power levels on one channel.
+The greedy runs once per level, stage 2 once over the users of all levels.
 
 A brute-force enumerator over all assignments, on the same water-filling
 and rate code, is the optimality reference for small instances.
@@ -85,7 +86,7 @@ def user_rate(
     """Achievable rate over the assigned tones, bits/s.
 
     cp_efficiency * delta_f * sum over assigned tones of log2(1 + gain * power).
-    (K,) rows give a float, (R, K) rows an (R,) array.
+    (K,) rows give a float, (..., K) rows a (...) array.
     """
     spectral = np.log2(1.0 + gain_row * power_row)
     rate = frame.cp_efficiency * frame.subcarrier_spacing * np.sum(assign_row * spectral, axis=-1)
@@ -159,15 +160,15 @@ def greedy_assign(
     benefit. Tones no user can use go to user 0: they get zero power
     whoever owns them, but every tone must have exactly one owner.
     """
-    return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario)
+    return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario, scenario.tx_power)
 
 
-def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
-    """greedy_assign on a channel's ToneTerms; only the increments read tx_power."""
+def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario, tx_power: float):
+    """greedy_assign on a channel's ToneTerms at tx_power watts."""
     gains_sq, prefs = terms.gains_sq, terms.prefs
     m_users, k_tones = gains_sq.shape
     # Equal-power provisional SNR per unit |H|^2: P_t / (N0 delta_f N K)
-    snr_slope = scenario.tx_power / (
+    snr_slope = tx_power / (
         scenario.noise_psd * frame.subcarrier_spacing * scenario.n_pas * k_tones
     )
     eff_df = frame.cp_efficiency * frame.subcarrier_spacing
@@ -194,7 +195,7 @@ def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> np.ndar
     return assignment
 
 
-def waterfill(gains, budget: float):
+def waterfill(gains, budget):
     """Classical water-filling over parallel channels.
 
     Maximizes sum log2(1 + gain_k * p_k) subject to sum p_k = budget, p >= 0,
@@ -205,20 +206,22 @@ def waterfill(gains, budget: float):
 
     Parameters
     ----------
-    gains : (K,) per-watt SNR slopes, 1/W, entries >= 0, or (M, K) rows of
-        them, each water-filled with the whole budget.
-    budget : total power to spend, watts, >= 0.
+    gains : (K,) per-watt SNR slopes, 1/W, entries >= 0, or (R, K) rows of
+        them, each water-filled on its own.
+    budget : total power to spend per row, watts, >= 0: one for every row,
+        or an (R,) array with one per row.
 
     Returns
     -------
     (powers, level) : loads per channel summing to the budget on the
-        positive-gain channels, and the water level mu (a float, or (M,)
-        for (M, K) gains). Channels with zero gain always get zero power. If
+        positive-gain channels, and the water level mu (a float, or (R,)
+        for (R, K) gains). Channels with zero gain always get zero power. If
         no channel can carry power the loads are all zero and the level is
         nan (budget unusable).
     """
     gains = np.asarray(gains, dtype=float)
-    if budget < 0:
+    budget = np.asarray(budget, dtype=float)
+    if (budget < 0).any():
         raise ValueError("budget must be >= 0")
     if (gains < 0).any():
         raise ValueError("gains must be >= 0")
@@ -234,7 +237,7 @@ def waterfill(gains, budget: float):
         desc = np.sort(rows, axis=1)[:, : -width - 1 : -1]
         with np.errstate(divide="ignore"):
             sorted_bp = 1.0 / desc
-        levels = (budget + np.cumsum(sorted_bp, axis=1)) / np.arange(1, width + 1)
+        levels = (budget[..., None] + np.cumsum(sorted_bp, axis=1)) / np.arange(1, width + 1)
         j = np.where(levels > sorted_bp, np.arange(width), -1).max(axis=1)
         r = np.arange(rows.shape[0])
         # Without a feasible j (zero budget) water sits at the lowest breakpoint.
@@ -251,17 +254,22 @@ def waterfill(gains, budget: float):
 def allocate(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario) -> Allocation:
     """Run both stages on a channel grid: greedy assignment, then per-user
     water-filling of an equal share P_t / M of the power budget."""
-    return _allocate_terms(_tone_terms(np.abs(grid.h) ** 2, frame, scenario), frame, scenario)
+    terms = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
+    return _allocate_levels(terms, frame, scenario, np.array([scenario.tx_power]))[0]
 
 
-def _allocate_terms(terms: ToneTerms, frame: FrameDesign, scenario: Scenario) -> Allocation:
-    """allocate on a channel's ToneTerms. Every user water-fills its share
+def _allocate_levels(terms: ToneTerms, frame: FrameDesign, scenario: Scenario, tx_powers):
+    """allocate on a channel's ToneTerms at each of the (L,) tx_powers: a
+    list of L Allocations. Every user of every level water-fills its share
     over its own tones in one call: another user's tones get zero gain."""
-    assignment = _greedy(terms, frame, scenario)
-    budget = scenario.tx_power / assignment.shape[0]
-    power, levels = waterfill(assignment * terms.gains, budget)
-    rates = user_rate(assignment, power, terms.gains, frame)
-    return Allocation(assignment, power, rates, (budget > 0) & np.isnan(levels))
+    assignments = np.array([_greedy(terms, frame, scenario, p) for p in tx_powers.tolist()])
+    n_levels, m_users, k_tones = assignments.shape
+    budgets = (tx_powers / m_users).repeat(m_users)  # one per (level, user) row
+    power, levels = waterfill((assignments * terms.gains).reshape(-1, k_tones), budgets)
+    power = power.reshape(assignments.shape)
+    rates = user_rate(assignments, power, terms.gains, frame)
+    unusable = ((budgets > 0) & np.isnan(levels)).reshape(n_levels, m_users)
+    return [Allocation(*level) for level in zip(assignments, power, rates, unusable)]
 
 
 def min_rate(allocation: Allocation) -> float:

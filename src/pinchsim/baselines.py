@@ -12,12 +12,11 @@ users' weighted rates, which makes the minimum rate the harmonic-sum value
 1 / sum(1/r_m).
 
 Only the SNRs read the transmit power: the |H|^2 and the single-PA |h|^2 are
-built once per channel, and each power level serves all users in array calls.
+built once per channel, and L power levels serve all users as (L, M) rows,
+each minimum one harmonic sum per row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +25,9 @@ from .frame import FrameDesign
 from .geometry import Scenario, center_pa_position, distance_matrix
 
 __all__ = [
-    "TimeShares",
-    "maxmin_time_shares",
     "sc_fde_effective_snr",
     "baseline_min_rates",
 ]
-
-
-@dataclass
-class TimeShares:
-    """Max-min optimal TDMA slot fractions and the resulting worst rate."""
-
-    zeta: np.ndarray  # (M,) fractions, sum to 1
-    min_rate: float  # bits/s
 
 
 def _center_gains_sq(users, alpha, scenario: Scenario) -> np.ndarray:
@@ -51,32 +40,22 @@ def _center_gains_sq(users, alpha, scenario: Scenario) -> np.ndarray:
     return np.array([abs(g) ** 2 for g in gains.tolist()])
 
 
-def _single_pa_rates(gains_sq: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Full-band rates, shape (M,), of users each served alone by the center
-    PA all slot, from their (M,) |h_m|^2 of _center_gains_sq:
-    B * log2(1 + |h_m|^2 P_t / noise_power); a blocked link yields 0.
+def _single_pa_rates(gains_sq: np.ndarray, tx_power, scenario: Scenario) -> np.ndarray:
+    """Full-band rates of users each served alone by the center PA all slot,
+    from their (M,) |h_m|^2 of _center_gains_sq: B * log2(1 + |h_m|^2 P_t /
+    noise_power), 0 on a blocked link; (M,) at one tx_power, (L, M) at (L, 1).
     """
-    snr = gains_sq * scenario.tx_power / scenario.noise_power
+    snr = gains_sq * tx_power / scenario.noise_power
     return scenario.bandwidth * np.log2(1.0 + snr)
 
 
-def maxmin_time_shares(standalone_rates) -> TimeShares:
-    """Split the slot to maximize the minimum time-shared rate.
-
-    With all standalone rates positive the optimum equalizes zeta_m * r_m,
-    giving zeta_m proportional to 1/r_m and min rate 1 / sum(1/r_m). If any
-    user has zero standalone rate the minimum is 0 whatever the split, and
-    the uniform split is returned as the (arbitrary) fallback.
+def _harmonic_min(rates) -> np.ndarray:
+    """Max-min TDMA rate 1 / sum(1/r_m) of the standalone rates along the
+    last axis: slot fractions proportional to 1/r_m equalize the time-shared
+    rates. A user with rate 0 adds 1/0 = inf, so the minimum is 1/inf = 0.
     """
-    rates = np.asarray(standalone_rates, dtype=float)
-    if (rates < 0).any():
-        raise ValueError("standalone rates must be >= 0")
-    m_users = rates.size
-    if (rates == 0.0).any():
-        return TimeShares(np.full(m_users, 1.0 / m_users), 0.0)
-    inv = 1.0 / rates
-    total_inv = inv.sum()
-    return TimeShares(inv / total_inv, float(1.0 / total_inv))
+    with np.errstate(divide="ignore"):
+        return 1.0 / (1.0 / np.asarray(rates, dtype=float)).sum(axis=-1)
 
 
 def sc_fde_effective_snr(gammas):
@@ -84,7 +63,7 @@ def sc_fde_effective_snr(gammas):
 
     K / sum_k 1/(gamma_k + 1) - 1: the harmonic-type contraction of the
     per-tone SNRs. Equals gamma exactly on a flat channel and 0 when every
-    tone is dead. (K,) SNRs give a float, (M, K) ones an (M,) array.
+    tone is dead. (K,) SNRs give a float, (..., K) ones a (...) array.
     """
     gammas = np.asarray(gammas, dtype=float)
     if (gammas < 0).any():
@@ -93,9 +72,10 @@ def sc_fde_effective_snr(gammas):
     return float(snr) if gammas.ndim == 1 else snr
 
 
-def _sc_fde_rates(gains_sq, frame: FrameDesign, scenario: Scenario):
+def _sc_fde_rates(gains_sq, tx_power, frame: FrameDesign, scenario: Scenario):
     """Rates of users each served alone with single-carrier MMSE
-    equalization, from |H|^2 of one user, (K,), or of all, (M, K).
+    equalization, from |H|^2 of one user, (K,), or of all, (M, K), at a
+    scalar tx_power; an (L, 1, 1) column of powers adds a leading L axis.
 
     Per-tone SNRs use the full power budget spread over the N apertures:
     gamma_k = |H_k|^2 * P_t / (N * K * N0 * delta_f). The CP overhead of the
@@ -104,7 +84,7 @@ def _sc_fde_rates(gains_sq, frame: FrameDesign, scenario: Scenario):
     k_tones = gains_sq.shape[-1]
     gammas = (
         gains_sq
-        * scenario.tx_power
+        * tx_power
         / (scenario.n_pas * k_tones * scenario.noise_psd * frame.subcarrier_spacing)
     )
     snr_eff = sc_fde_effective_snr(gammas)
@@ -128,12 +108,16 @@ def baseline_min_rates(
     Returns (single_pa_min_rate, sc_fde_min_rate) in bits/s.
     """
     center_sq = _center_gains_sq(realization.users, center_alpha, scenario)
-    return _tdma_min_rates(center_sq, np.abs(grid.h) ** 2, frame, scenario)
+    single_pa, sc_fde = _tdma_min_rates(
+        center_sq, np.abs(grid.h) ** 2, frame, scenario, np.array([scenario.tx_power])
+    )
+    return float(single_pa[0]), float(sc_fde[0])
 
 
-def _tdma_min_rates(center_sq, gains_sq, frame: FrameDesign, scenario: Scenario):
-    """baseline_min_rates from the (M,) single-PA |h|^2 and (M, K) |H|^2."""
+def _tdma_min_rates(center_sq, gains_sq, frame: FrameDesign, scenario: Scenario, tx_powers):
+    """baseline_min_rates at each of the (L,) tx_powers, as two (L,) arrays,
+    from the (M,) single-PA |h|^2 and the (M, K) |H|^2."""
     return (
-        maxmin_time_shares(_single_pa_rates(center_sq, scenario)).min_rate,
-        maxmin_time_shares(_sc_fde_rates(gains_sq, frame, scenario)).min_rate,
+        _harmonic_min(_single_pa_rates(center_sq, tx_powers[:, None], scenario)),
+        _harmonic_min(_sc_fde_rates(gains_sq, tx_powers[:, None, None], frame, scenario)),
     )

@@ -9,7 +9,8 @@ Subcommands:
 A flag that sets an ExperimentConfig field stores under that field's name,
 so the config is the file (or the defaults) with every given flag replacing
 its field. A bad flag, config file or output path is a usage error (exit 2)
-before the first drop runs.
+before the first drop runs; a write that fails anyway ends in one error
+line (exit 1).
 """
 
 from __future__ import annotations
@@ -192,7 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # from experiments._write: names what, where and why
+        print(f"pinchsim: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

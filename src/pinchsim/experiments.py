@@ -10,25 +10,25 @@ doubled-drop run an extension of the shorter one.
 
 A sweep's unit of work is one (user count, blockage density) and one
 contiguous chunk of drops, run at every axis value. Only the allocation and
-the TDMA baselines read the transmit power, so each drop's channel (users,
-blockage, taps, frame, grid, and the power-free terms of the allocation and
-the baselines) is built once and shared across power levels; the bits are
-those of separate run_drop calls. Parallel sweeps run these jobs
-in worker processes, byte-identical for any count.
+the TDMA baselines read the transmit power, so a drop builds one channel
+(users, blockage, taps, frame, grid, and the power-free terms of the rates)
+per PA count and evaluates all its power levels as array rows; the bits are
+those of separate run_drop calls. Parallel sweeps run these jobs in worker
+processes, byte-identical for any count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import product
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .alloc import ToneTerms, _allocate_terms, _tone_terms, min_rate
+from .alloc import ToneTerms, _allocate_levels, _tone_terms, min_rate
 from .baselines import _center_gains_sq, _tdma_min_rates
 from .channel import ChannelGrid, ChannelRealization, build_realization, channel_grid
 from .frame import FrameDesign, design_frame
@@ -210,14 +210,15 @@ def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int) -> Drop
     return DropChannel(realization, frame, grid, center_alpha, tones, center_sq)
 
 
-def _drop_rates(scenario: Scenario, channel: DropChannel):
-    """The rates half of a drop on a channel from _drop_channel: run_drop's
-    (ofdma, single_pa, sc_fde) minimum rates and the allocation."""
-    allocation = _allocate_terms(channel.tones, channel.frame, scenario)
+def _drop_rates(scenario: Scenario, channel: DropChannel, tx_powers):
+    """The rates half of a drop on a channel from _drop_channel, at an (L,)
+    array of tx_powers in watts: run_drop's minima as (L, 3), and the L allocations."""
+    allocations = _allocate_levels(channel.tones, channel.frame, scenario, tx_powers)
     single_pa, sc_fde = _tdma_min_rates(
-        channel.center_sq, channel.tones.gains_sq, channel.frame, scenario
+        channel.center_sq, channel.tones.gains_sq, channel.frame, scenario, tx_powers
     )
-    return (min_rate(allocation), single_pa, sc_fde), allocation
+    ofdma = [min_rate(allocation) for allocation in allocations]
+    return np.array([ofdma, single_pa, sc_fde]).T, allocations
 
 
 def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
@@ -226,7 +227,8 @@ def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
     Returns (ofdma, single_pa, sc_fde) in bits/s. A drop where every scheme
     lands at zero (total blockage) is a valid data point.
     """
-    return _drop_rates(scenario, _drop_channel(scenario, master_seed, drop_index))[0]
+    channel = _drop_channel(scenario, master_seed, drop_index)
+    return tuple(_drop_rates(scenario, channel, np.array([scenario.tx_power]))[0][0].tolist())
 
 
 @dataclass
@@ -269,47 +271,45 @@ def _chunks(drops: int, workers: int) -> list[tuple[int, int]]:
     return [(drops * i // w, drops * (i + 1) // w) for i in range(w)]
 
 
-def _drop_chunk(scenarios: list[Scenario], master_seed: int, start: int, stop: int):
-    """Drops start..stop-1 at every axis value of one (M, beta): one row per
-    drop, holding run_drop's (ofdma, single_pa, sc_fde) for each scenario.
-
-    A drop's channel is built once and rebuilt only for a scenario that
-    differs from the previous one in more than tx_power, so all power levels
-    share it while every PA count gets its own."""
-    fresh = [
-        i == 0 or replace(scenarios[i - 1], tx_power=scenario.tx_power) != scenario
-        for i, scenario in enumerate(scenarios)
+def _drop_chunk(channels: list, master_seed: int, start: int, stop: int):
+    """Drops start..stop-1 on the (scenario, tx_powers) channels of one
+    (M, beta): per drop, run_drop's (ofdma, single_pa, sc_fde) at every axis
+    value as an (axis values, 3) array."""
+    return [
+        np.concatenate([
+            _drop_rates(scenario, _drop_channel(scenario, master_seed, d), tx_powers)[0]
+            for scenario, tx_powers in channels
+        ])
+        for d in range(start, stop)
     ]
-    rows = []
-    for d in range(start, stop):
-        row = []
-        for scenario, new_channel in zip(scenarios, fresh):
-            if new_channel:
-                channel = None  # free the previous grid before building the next
-                channel = _drop_channel(scenario, master_seed, d)
-            row.append(_drop_rates(scenario, channel)[0])
-        rows.append(row)
-    return rows
+
+
+def _channels(config: ExperimentConfig, n_users: int, beta: float) -> list:
+    """The (scenario, tx_powers) channels of one (M, beta) for _drop_chunk:
+    one per PA count at the fixed power, or one carrying every power level."""
+    scenarios = [scenario_for(config, value, n_users, beta) for value in config.axis_values]
+    if config.axis == "tx_power":
+        return [(scenarios[0], np.array([s.tx_power for s in scenarios]))]
+    return [(s, np.array([s.tx_power])) for s in scenarios]
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Average run_drop over the whole sweep grid.
 
     A job is one (M, beta) and one contiguous chunk of drops, run at every
-    axis value; each drop's channel is shared across power levels (see
-    _drop_chunk), which gives the same bits as separate run_drop calls. With
-    min(threads, drops) > 1, one pool of that many worker processes runs the
-    jobs; aggregating in grid and drop order keeps the output independent of
-    the worker count.
+    axis value; each drop builds a channel per PA count and evaluates it at
+    all of its power levels (see _drop_chunk), which gives the same bits as
+    separate run_drop calls. With min(threads, drops) > 1, one pool of that
+    many worker processes runs the jobs; aggregating in grid and drop order
+    keeps the output independent of the worker count.
     """
     if not isinstance(threads, Integral) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     groups = [
-        [scenario_for(config, value, m, beta) for value in config.axis_values]
-        for m, beta in product(config.m_values, config.beta_values)
+        _channels(config, m, beta) for m, beta in product(config.m_values, config.beta_values)
     ]
     chunks = _chunks(config.drops, threads)
-    jobs = [(scenarios, config.master_seed, *chunk) for scenarios in groups for chunk in chunks]
+    jobs = [(channels, config.master_seed, *chunk) for channels in groups for chunk in chunks]
     if len(chunks) == 1:
         parts = [_drop_chunk(*job) for job in jobs]
     else:
@@ -446,7 +446,8 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
     """Re-run one drop through run_drop's pipeline and dump its internals as
     plain JSON-ready data."""
     channel = _drop_channel(scenario, master_seed, drop_index)
-    (ofdma, single_pa, sc_fde), allocation = _drop_rates(scenario, channel)
+    rates, (allocation,) = _drop_rates(scenario, channel, np.array([scenario.tx_power]))
+    ofdma, single_pa, sc_fde = rates[0].tolist()
     realization, frame, grid = channel.realization, channel.frame, channel.grid
     magnitudes = np.abs(grid.h)
     return {

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import pinchsim
 from pinchsim.alloc import Allocation
-from pinchsim.baselines import maxmin_time_shares
 from pinchsim.channel import (
     SPEED_OF_LIGHT,
     ChannelGrid,
@@ -451,6 +450,16 @@ def reference_sc_fde_rate(h_row, frame, scenario):
     return float(frame.cp_efficiency * scenario.bandwidth * np.log2(1.0 + snr_eff))
 
 
+def reference_harmonic_min(rates):
+    """Max-min time-shared rate of one row of standalone rates, one user at a
+    time: 0 if any user has rate 0, else 1 / sum(1/r_m). The oracle of
+    `pinchsim.baselines._harmonic_min`, which takes (L, M) rows."""
+    rates = [float(r) for r in rates]
+    if 0.0 in rates:
+        return 0.0
+    return 1.0 / float(np.sum([1.0 / r for r in rates]))
+
+
 def reference_baseline_min_rates(realization, grid, frame, scenario, center_alpha):
     """Both TDMA minimum rates from one scalar rate call per user: the oracle
     of `pinchsim.baselines.baseline_min_rates`."""
@@ -460,7 +469,7 @@ def reference_baseline_min_rates(realization, grid, frame, scenario, center_alph
         for u, a in zip(realization.users.tolist(), center_alpha)
     ]
     sc_fde = [reference_sc_fde_rate(h_row, frame, scenario) for h_row in grid.h]
-    return maxmin_time_shares(single).min_rate, maxmin_time_shares(sc_fde).min_rate
+    return reference_harmonic_min(single), reference_harmonic_min(sc_fde)
 
 
 def reference_sweep_stats(mat):

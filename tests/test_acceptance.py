@@ -174,7 +174,7 @@ def test_4_flat_channel_reductions():
     h_row = np.full(16, 1.5 - 0.5j)
     gamma = abs(1.5 - 0.5j) ** 2 * 3.0 / (2 * 16 * 1.0 * 1.0)
     direct = frame.cp_efficiency * 16.0 * math.log2(1.0 + gamma)
-    rate = _sc_fde_rates(np.abs(h_row) ** 2, frame, sc)
+    rate = _sc_fde_rates(np.abs(h_row) ** 2, sc.tx_power, frame, sc)
     assert rate == pytest.approx(direct, rel=1e-12)
 
     report(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pinchsim.alloc
 from pinchsim.alloc import (
     Allocation,
-    _allocate_terms,
+    _allocate_levels,
     _channel_advantage,
     _per_watt,
     _tone_terms,
@@ -397,6 +397,8 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill(np.array([1.0]), -1.0)
         with pytest.raises(ValueError):
+            waterfill(np.ones((2, 3)), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
             waterfill(np.array([-1.0]), 1.0)
 
     def test_kkt_conditions_random_batch(self):
@@ -468,20 +470,25 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+budgets = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    gains=gain_instances(),
-    budget=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
-)
-def test_batched_waterfill_equals_per_row_calls(gains, budget):
-    """Water-filling the rows of an (M, K) array in one call gives, row by
-    row, the bits of a 1-D call and of the sorted-breakpoint loop."""
-    powers, levels = waterfill(gains, budget)
-    assert powers.shape == gains.shape and levels.shape == (gains.shape[0],)
-    for row, p, level in zip(gains, powers, levels):
-        for p_1d, level_1d in (waterfill(row, budget), reference_waterfill(row, budget)):
-            assert np.array_equal(_bits(p), _bits(p_1d))
-            assert float(level).hex() == level_1d.hex()
+@given(gains=gain_instances(), budget=budgets, data=st.data())
+def test_batched_waterfill_equals_per_row_calls(gains, budget, data):
+    """Water-filling the rows of an (M, K) array in one call, with one budget
+    for all rows or one budget per row, gives row by row the bits of a 1-D
+    call with that row's budget and of the sorted-breakpoint loop."""
+    per_row = data.draw(st.lists(budgets, min_size=len(gains), max_size=len(gains)))
+    for budget_arg, row_budgets in ((budget, [budget] * len(gains)), (np.array(per_row), per_row)):
+        powers, levels = waterfill(gains, budget_arg)
+        assert powers.shape == gains.shape and levels.shape == (gains.shape[0],)
+        for row, row_budget, p, level in zip(gains, row_budgets, powers, levels):
+            for p_1d, level_1d in (
+                waterfill(row, row_budget), reference_waterfill(row, row_budget)
+            ):
+                assert np.array_equal(_bits(p), _bits(p_1d))
+                assert float(level).hex() == level_1d.hex()
 
 
 @settings(max_examples=300, deadline=None)
@@ -491,16 +498,18 @@ def test_batched_waterfill_equals_per_row_calls(gains, budget):
     tx_powers=st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=4),
 )
 def test_allocate_equals_per_user_reference(gains_sq, scale, tx_powers):
-    """One ToneTerms record, reused at several transmit powers, gives at each
-    the bits of the per-user loop: greedy, then one water-filling call and
-    one rate sum per user. The public allocate agrees as well."""
+    """One ToneTerms record, allocated at several transmit powers in one
+    call, gives at each the bits of the per-user loop: greedy, then one
+    water-filling call and one rate sum per user. The public allocate agrees
+    as well."""
     grid = grid_from_h(scale * np.sqrt(gains_sq))
     frame = make_frame(k=64, bandwidth=20e6, cp_duration=1e-8)
     scenario = Scenario(n_pas=3, n_users=gains_sq.shape[0], bandwidth=20e6)
     terms = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
-    for tx_power in tx_powers:
+    allocations = _allocate_levels(terms, frame, scenario, np.array(tx_powers))
+    assert len(allocations) == len(tx_powers)
+    for tx_power, got in zip(tx_powers, allocations):
         sc = replace(scenario, tx_power=tx_power)
-        got = _allocate_terms(terms, frame, sc)
         want = reference_allocate(grid, frame, sc)
         assert np.array_equal(got.assignment, want.assignment)
         assert np.array_equal(_bits(got.power), _bits(want.power))

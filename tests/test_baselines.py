@@ -1,6 +1,7 @@
 """Single-PA TDMA and SC-FDE TDMA reference schemes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchsim.alloc import allocate, min_rate
+from pinchsim.baselines import baseline_min_rates, sc_fde_effective_snr
 from pinchsim.baselines import (
-    baseline_min_rates,
-    maxmin_time_shares,
-    sc_fde_effective_snr,
+    _center_gains_sq,
+    _harmonic_min,
+    _sc_fde_rates,
+    _single_pa_rates,
 )
-from pinchsim.baselines import _center_gains_sq, _sc_fde_rates, _single_pa_rates
 from pinchsim.channel import (
     build_realization,
     channel_grid,
@@ -30,6 +32,7 @@ from pinchsim.geometry import (
 from helpers import (
     gain_instances,
     make_frame,
+    reference_harmonic_min,
     reference_sc_fde_rate,
     reference_single_pa_rate,
     unit_scenario,
@@ -40,7 +43,7 @@ class TestStandaloneRateSinglePa:
     def test_blocked_is_zero(self):
         sc = Scenario(n_pas=1, n_users=1)
         users = [(10, 2, 0), (20, -1, 0)]
-        rates = _single_pa_rates(_center_gains_sq(users, [0, 1], sc), sc)
+        rates = _single_pa_rates(_center_gains_sq(users, [0, 1], sc), sc.tx_power, sc)
         assert rates[0] == 0.0 and rates[1] > 0.0
 
     def test_unit_snr_gives_bandwidth(self):
@@ -52,7 +55,7 @@ class TestStandaloneRateSinglePa:
             noise_power=eta / 9.0 * pt, bandwidth=500e6,
         )
         user = (15.0, 0.0, 0.0)  # 3 m below the center PA
-        (rate,) = _single_pa_rates(_center_gains_sq(user, [1], sc), sc)
+        (rate,) = _single_pa_rates(_center_gains_sq(user, [1], sc), pt, sc)
         assert rate == pytest.approx(sc.bandwidth, rel=1e-12)
 
     def test_scalar_cross_check(self):
@@ -61,7 +64,7 @@ class TestStandaloneRateSinglePa:
             n_pas=1, n_users=1, carrier_freq=28e9, tx_power=0.1,
             noise_power=1e-12, bandwidth=500e6,
         )
-        (rate,) = _single_pa_rates(_center_gains_sq([(15.0, 0.0, 0.0)], [1], sc), sc)
+        (rate,) = _single_pa_rates(_center_gains_sq([(15.0, 0.0, 0.0)], [1], sc), 0.1, sc)
         snr = (path_loss_constant(28e9) / 9.0) * 0.1 / 1e-12
         assert rate == pytest.approx(500e6 * math.log2(1 + snr), rel=1e-12)
 
@@ -82,9 +85,9 @@ def test_single_pa_rates_match_per_user_scalar_calls(m, beta, tx_power, seed):
     users = sample_users(sc, rng)
     center = center_pa_position(sc)
     alpha = sample_blockage(sc, users, [center], rng)[:, 0]
-    rates = _single_pa_rates(_center_gains_sq(users, alpha, sc), sc)
+    rates = _single_pa_rates(_center_gains_sq(users, alpha, sc), tx_power, sc)
     one_user = [
-        _single_pa_rates(_center_gains_sq(users[i], alpha[i : i + 1], sc), sc)[0]
+        _single_pa_rates(_center_gains_sq(users[i], alpha[i : i + 1], sc), tx_power, sc)[0]
         for i in range(m)
     ]
     assert [r.hex() for r in rates.tolist()] == [r.hex() for r in one_user]
@@ -96,39 +99,40 @@ def test_single_pa_rates_match_per_user_scalar_calls(m, beta, tx_power, seed):
 
 
 class TestMaxminTimeShares:
+    """The max-min TDMA rate 1 / sum(1/r_m) of _harmonic_min, one row of
+    standalone rates at a time or (L, M) rows in one call."""
+
     def test_one_and_three_gbps(self):
-        shares = maxmin_time_shares([1e9, 3e9])
-        assert np.allclose(shares.zeta, [0.75, 0.25], rtol=1e-14)
-        assert shares.min_rate == pytest.approx(0.75e9, rel=1e-14)
+        # Slot fractions 3/4 and 1/4 give both users 0.75 Gb/s.
+        assert float(_harmonic_min([1e9, 3e9])) == pytest.approx(0.75e9, rel=1e-14)
 
     def test_equal_rates_uniform_split(self):
-        shares = maxmin_time_shares([2e9, 2e9, 2e9, 2e9])
-        assert np.allclose(shares.zeta, 0.25, rtol=1e-14)
-        assert shares.min_rate == pytest.approx(0.5e9, rel=1e-14)
+        assert float(_harmonic_min([2e9, 2e9, 2e9, 2e9])) == pytest.approx(0.5e9, rel=1e-14)
 
     def test_any_zero_rate_kills_the_minimum(self):
-        shares = maxmin_time_shares([0.0, 5e9])
-        assert shares.min_rate == 0.0
-        assert np.allclose(shares.zeta, 0.5)
+        assert float(_harmonic_min([0.0, 5e9])) == 0.0
+        assert _harmonic_min([[0.0, 5e9], [5e9, 5e9], [0.0, 0.0]]).tolist() == [0.0, 2.5e9, 0.0]
 
     def test_single_user_full_slot(self):
-        shares = maxmin_time_shares([4e9])
-        assert np.allclose(shares.zeta, [1.0])
-        assert shares.min_rate == pytest.approx(4e9)
+        assert float(_harmonic_min([4e9])) == pytest.approx(4e9, rel=1e-15)
 
     def test_weighted_rates_equalized(self):
+        """Each row of a random (L, M) array, a quarter of its rates zero, has
+        the bits of a call on that row alone and of the per-user oracle. On a
+        row without zeros, slot fractions proportional to 1/r_m give every
+        user that rate."""
         rng = np.random.default_rng(3)
         for _ in range(30):
-            rates = rng.uniform(1e6, 1e10, size=rng.integers(1, 6))
-            shares = maxmin_time_shares(rates)
-            weighted = shares.zeta * rates
-            assert shares.zeta.sum() == pytest.approx(1.0, rel=1e-12)
-            assert (weighted.max() - weighted.min()) <= 1e-12 * weighted.max()
-            assert shares.min_rate == pytest.approx(weighted[0], rel=1e-12)
-
-    def test_rejects_negative_rates(self):
-        with pytest.raises(ValueError):
-            maxmin_time_shares([-1.0, 2.0])
+            shape = (rng.integers(1, 6), rng.integers(1, 12))
+            rates = np.where(rng.random(shape) < 0.25, 0.0, rng.uniform(1e6, 1e10, shape))
+            got = _harmonic_min(rates)
+            assert got.shape == shape[:1]
+            for row, value in zip(rates, got.tolist()):
+                assert value.hex() == float(_harmonic_min(row)).hex()
+                assert value.hex() == reference_harmonic_min(row).hex()
+                if row.all():
+                    zeta = (1.0 / row) / (1.0 / row).sum()
+                    assert np.allclose(zeta * row, value, rtol=1e-12, atol=0.0)
 
 
 class TestScFdeEffectiveSnr:
@@ -191,14 +195,19 @@ def test_sc_fde_effective_snr_properties(gammas, tone, boost):
 def test_sc_fde_rates_match_per_user_calls(gains_sq, scale, tx_powers):
     """The SC-FDE rates of all M users, from one (M, K) expression, have at
     every power the bits of one per-user call per row, of the inline formula
-    and of the same expression on that row alone."""
+    and of the same expression on that row alone; one (L, M) call over all
+    powers has them row by row."""
     h = scale * np.sqrt(gains_sq)
     frame = make_frame(k=64, bandwidth=20e6, cp_duration=1e-8)
-    for tx_power in tx_powers:
-        sc = Scenario(n_pas=3, n_users=h.shape[0], bandwidth=20e6, tx_power=tx_power)
+    scenario = Scenario(n_pas=3, n_users=h.shape[0], bandwidth=20e6)
+    stacked = _sc_fde_rates(np.abs(h) ** 2, np.array(tx_powers)[:, None, None], frame, scenario)
+    for tx_power, level in zip(tx_powers, stacked):
+        sc = replace(scenario, tx_power=tx_power)
         want = [reference_sc_fde_rate(row, frame, sc).hex() for row in h]
-        assert [r.hex() for r in _sc_fde_rates(np.abs(h) ** 2, frame, sc).tolist()] == want
-        one_user = [float(_sc_fde_rates(np.abs(row) ** 2, frame, sc)) for row in h]
+        got = _sc_fde_rates(np.abs(h) ** 2, tx_power, frame, sc)
+        assert [r.hex() for r in got.tolist()] == want
+        assert [r.hex() for r in level.tolist()] == want
+        one_user = [float(_sc_fde_rates(np.abs(row) ** 2, tx_power, frame, sc)) for row in h]
         assert [r.hex() for r in one_user] == want
 
 
@@ -206,7 +215,7 @@ class TestScFdeStandaloneRate:
     def test_fully_blocked_user(self):
         frame = make_frame(k=8, bandwidth=8.0)
         sc = unit_scenario(1, 8)
-        assert _sc_fde_rates(np.zeros(8), frame, sc) == 0.0
+        assert _sc_fde_rates(np.zeros(8), sc.tx_power, frame, sc) == 0.0
 
     def test_flat_channel_reduces_to_single_carrier(self):
         frame = make_frame(k=8, bandwidth=8.0, cp_duration=2e-9, fft_duration=8e-9)
@@ -214,7 +223,7 @@ class TestScFdeStandaloneRate:
         h_row = np.full(8, 0.5 + 0.5j)
         gamma = abs(0.5 + 0.5j) ** 2 * 2.0 / (3 * 8 * 1.0 * 1.0)
         expected = frame.cp_efficiency * 8.0 * math.log2(1 + gamma)
-        assert _sc_fde_rates(np.abs(h_row) ** 2, frame, sc) == pytest.approx(
+        assert _sc_fde_rates(np.abs(h_row) ** 2, 2.0, frame, sc) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -228,7 +237,7 @@ class TestScFdeStandaloneRate:
             gammas = np.abs(h_row) ** 2 * sc.tx_power / (
                 sc.n_pas * 8 * sc.noise_psd * frame.subcarrier_spacing
             )
-            rate = _sc_fde_rates(np.abs(h_row) ** 2, frame, sc)
+            rate = _sc_fde_rates(np.abs(h_row) ** 2, sc.tx_power, frame, sc)
             per_tone = (
                 frame.cp_efficiency
                 * frame.subcarrier_spacing

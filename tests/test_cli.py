@@ -11,7 +11,6 @@ import pytest
 
 import pinchsim
 from pinchsim.cli import main
-from pinchsim.experiments import SweepResult, emit_csv, emit_json
 
 
 def read_rows(path):
@@ -325,19 +324,24 @@ def test_bad_input_is_a_usage_error_before_any_drop(
 
 
 @pytest.mark.parametrize("what", ["sweep CSV", "sweep JSON", "trace JSON"])
-def test_failing_write_names_what_and_the_path(tmp_path, what):
+def test_failing_write_names_what_and_the_path(tiny_config, tmp_path, capsys, what):
     """A write that fails after the path checks passed (here a file name
-    longer than any file system takes) names what it wrote and where."""
+    longer than any file system takes) exits 1 with one stderr line that
+    names what it wrote, where, and why."""
     path = tmp_path / ("x" * 300)
-    result = SweepResult(points=[], master_seed=0)
-    trace = ["trace-drop", "--seed", "1", "--index", "0", "--n-pas", "2", "--out", str(path)]
-    write = {
-        "sweep CSV": lambda: emit_csv(result, path),
-        "sweep JSON": lambda: emit_json(result, path),
-        "trace JSON": lambda: main(trace),
+    argv = {
+        "sweep CSV": ["simulate", "--config", str(tiny_config), "--out", str(path)],
+        "sweep JSON": [
+            "sweep-power", "--drops", "1", "--m-values", "1", "--power-values", "0,10",
+            "--out", str(tmp_path / "ok.csv"), "--json", str(path),
+        ],
+        "trace JSON": ["trace-drop", "--seed", "1", "--index", "0", "--out", str(path)],
     }[what]
-    with pytest.raises(OSError, match=re.escape(f"cannot write {what} to {path}: ")):
-        write()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    head = f"pinchsim: error: cannot write {what} to {path}: "
+    assert re.fullmatch(re.escape(head) + r"\[Errno \d+\] .+\n", err)
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_status_of_the_module(tmp_path):

@@ -192,7 +192,7 @@ class TestRunDrop:
         assert run_drop(sc, 5, 0) != run_drop(sc, 5, 1)
 
 
-def failing_drop_chunk(scenarios, master_seed, start, stop):
+def failing_drop_chunk(channels, master_seed, start, stop):
     """Stand-in for experiments._drop_chunk that fails in the worker."""
     raise ValueError(f"drops {start}..{stop - 1} failed in a worker")
 
@@ -211,11 +211,15 @@ class TestRunSweep:
                 assert point.drops == 1
 
     def test_doubling_drops_extends_streams(self):
+        """Both job shapes: a channel per PA count at one power, and one
+        channel carrying every power level."""
         cfg = small_config()
-        scenarios = [scenario_for(cfg, v, 2, 0.05) for v in cfg.axis_values]
-        short = _drop_chunk(scenarios, 123, 0, 3)
-        long = _drop_chunk(scenarios, 123, 0, 6)
-        assert np.array_equal(short, long[:3])
+        per_count = [(scenario_for(cfg, v, 2, 0.05), np.array([0.1])) for v in cfg.axis_values]
+        levels = [(per_count[0][0], np.array([dbm_to_watts(p) for p in (0.0, 10.0, 20.0)]))]
+        for channels in (per_count, levels):
+            short = _drop_chunk(channels, 123, 0, 3)
+            long = _drop_chunk(channels, 123, 0, 6)
+            assert np.array_equal(short, long[:3])
 
     def test_thread_count_does_not_change_results(self):
         cfg = small_config(drops=4)
@@ -390,10 +394,12 @@ def test_sweep_stats_equal_per_point_loop_on_many_drop_counts(monkeypatch, drops
     rng = np.random.default_rng(drops)
     tables = {}
 
-    def fake_chunk(scenarios, master_seed, start, stop):
-        key = (scenarios[0].n_users, scenarios[0].blockage_density)
+    def fake_chunk(channels, master_seed, start, stop):
+        scenario = channels[0][0]
+        key = (scenario.n_users, scenario.blockage_density)
         if key not in tables:
-            draws = rng.exponential(1e8, (drops, len(scenarios), len(SCHEMES)))
+            n_values = sum(len(tx_powers) for _, tx_powers in channels)
+            draws = rng.exponential(1e8, (drops, n_values, len(SCHEMES)))
             tables[key] = np.where(rng.random(draws.shape) < 0.25, 0.0, draws)
         return tables[key][start:stop].tolist()
 
@@ -419,14 +425,17 @@ def test_sweep_stats_equal_per_point_loop_on_many_drop_counts(monkeypatch, drops
 def test_rates_half_equals_per_user_reference_on_real_drops(
     m, n_pas, beta, bandwidth, seed, drop
 ):
-    """On one drop's channel, shared by every power level as in a sweep, each
-    minimum rate has the bits of the per-user loops: greedy, water-filling
-    and rate sum per user, and one scalar baseline rate per user."""
+    """On one drop's channel, evaluated at every power level in one call as
+    in a sweep, each minimum rate has the bits of the per-user loops: greedy,
+    water-filling and rate sum per user, and one scalar baseline rate per
+    user."""
     scenario = Scenario(n_pas=n_pas, n_users=m, blockage_density=beta, bandwidth=bandwidth)
     channel = _drop_channel(scenario, seed, drop)
-    for dbm in (-10.0, 0.0, 10.0, 20.0, 30.0):
+    dbms = (-10.0, 0.0, 10.0, 20.0, 30.0)
+    rates, allocations = _drop_rates(scenario, channel, np.array([dbm_to_watts(p) for p in dbms]))
+    assert rates.shape == (len(dbms), len(SCHEMES)) and len(allocations) == len(dbms)
+    for dbm, (ofdma, single_pa, sc_fde), allocation in zip(dbms, rates.tolist(), allocations):
         sc = replace(scenario, tx_power=dbm_to_watts(dbm))
-        (ofdma, single_pa, sc_fde), allocation = _drop_rates(sc, channel)
         want = reference_allocate(channel.grid, channel.frame, sc)
         assert np.array_equal(allocation.power.view(np.uint64), want.power.view(np.uint64))
         assert ofdma.hex() == min_rate(want).hex()
