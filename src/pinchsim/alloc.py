@@ -254,7 +254,7 @@ def waterfill(gains, budget):
 def allocate(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario) -> Allocation:
     """Run both stages on a channel grid: greedy assignment, then per-user
     water-filling of an equal share P_t / M of the power budget."""
-    terms = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
+    terms = _tone_terms(grid.gains_sq, frame, scenario)
     return _allocate_levels(terms, frame, scenario, np.array([scenario.tx_power]))[0]
 
 
@@ -287,8 +287,8 @@ def exhaustive_oracle(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario)
     the problem restricted to the heuristic's equal per-user power split, so
     comparisons against the greedy stage isolate assignment quality.
 
-    Each user's rates on all 2^K tone subsets come from one waterfill and
-    one user_rate call over the subsets as rows: the allocator's own code.
+    All users' rates on all 2^K tone subsets come from one waterfill and one
+    user_rate call over the (M, 2^K) rows, as in allocate: the same code.
 
     Raises ValueError past ORACLE_MAX_USERS users or ORACLE_MAX_TONES tones.
     """
@@ -298,16 +298,13 @@ def exhaustive_oracle(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario)
             f"instance {m_users} users x {k_tones} tones exceeds enumeration "
             f"limits ({ORACLE_MAX_USERS} x {ORACLE_MAX_TONES})"
         )
-    gains = _per_watt(np.abs(grid.h) ** 2, frame, scenario)
-    budget = scenario.tx_power / m_users
+    gains = _per_watt(grid.gains_sq, frame, scenario)[:, None, :]  # (M, 1, K)
 
     # Row s of subsets holds the tones of bitmask s (tone k is bit k); row 0
-    # is the empty subset, whose rate is zero.
+    # is the empty subset, whose rate is zero. table[m, s] is user m's rate on it.
     subsets = (np.arange(1 << k_tones)[:, None] >> np.arange(k_tones) & 1).astype(np.int8)
-    table = np.empty((m_users, 1 << k_tones))
-    for m in range(m_users):
-        power, _ = waterfill(subsets * gains[m], budget)
-        table[m] = user_rate(subsets, power, gains[m], frame)
+    power, _ = waterfill((subsets * gains).reshape(-1, k_tones), scenario.tx_power / m_users)
+    table = user_rate(subsets, power.reshape(m_users, -1, k_tones), gains, frame)
 
     # Every user's tone bitmask under all assignments in lexicographic order:
     # each tone appends a base-M digit, so tone 0 is the most significant

@@ -109,7 +109,7 @@ def baseline_min_rates(
     """
     center_sq = _center_gains_sq(realization.users, center_alpha, scenario)
     single_pa, sc_fde = _tdma_min_rates(
-        center_sq, np.abs(grid.h) ** 2, frame, scenario, np.array([scenario.tx_power])
+        center_sq, grid.gains_sq, frame, scenario, np.array([scenario.tx_power])
     )
     return float(single_pa[0]), float(sc_fde[0])
 

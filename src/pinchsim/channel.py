@@ -160,6 +160,10 @@ class ChannelGrid:
     def n_subcarriers(self) -> int:
         return self.h.shape[1]
 
+    @property
+    def gains_sq(self) -> np.ndarray:
+        return np.abs(self.h) ** 2  # (M, K) |H|^2; the only place a grid is squared
+
 
 def channel_grid(realization: ChannelRealization, frame: FrameDesign) -> ChannelGrid:
     """Sample every user's frequency response on the frame's subcarrier grid,

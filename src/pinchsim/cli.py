@@ -101,6 +101,8 @@ def _config(args) -> ExperimentConfig:
         folder = os.path.dirname(os.path.abspath(path))
         if not path or os.path.isdir(path) or not os.path.isdir(folder):
             args.error(f"--{flag}: cannot write a file at {path}")
+    if getattr(args, "json", None) and os.path.realpath(args.json) == os.path.realpath(args.out):
+        args.error(f"--json: {args.json} is the --out file; the JSON would replace the CSV")
     return config
 
 

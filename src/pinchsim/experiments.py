@@ -205,7 +205,7 @@ def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int) -> Drop
     center_alpha = sample_blockage(
         scenario, users, [center_pa_position(scenario)], rng_center
     )[:, 0]
-    tones = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
+    tones = _tone_terms(grid.gains_sq, frame, scenario)
     center_sq = _center_gains_sq(users, center_alpha, scenario)
     return DropChannel(realization, frame, grid, center_alpha, tones, center_sq)
 
@@ -351,16 +351,22 @@ _CSV_HEADER = (
 )
 
 
+def _plain(value):
+    """value as a plain Python number if it is a numpy scalar, else as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _rows(result: SweepResult) -> list[dict]:
     """One dict per sweep point, keyed by the CSV columns: SweepPoint's
-    fields in declaration order, then the master seed."""
+    fields in declaration order, then the master seed, as plain Python values."""
     columns = _CSV_HEADER.split(",")
-    return [dict(zip(columns, (*astuple(p), result.master_seed))) for p in result.points]
+    rows = [(*astuple(p), result.master_seed) for p in result.points]
+    return [dict(zip(columns, map(_plain, row))) for row in rows]
 
 
 def _fmt(value) -> str:
     """Numbers formatted so that parsing the text recovers them exactly."""
-    if isinstance(value, (str, int, np.integer)):
+    if isinstance(value, (str, int)):
         return str(value)
     return repr(float(value))
 
@@ -444,16 +450,17 @@ def load_config(path) -> ExperimentConfig:
 
 def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
     """Re-run one drop through run_drop's pipeline and dump its internals as
-    plain JSON-ready data."""
+    plain JSON-ready data: Python numbers, lists and dicts only, whatever
+    numpy scalars the scenario or the arguments hold."""
     channel = _drop_channel(scenario, master_seed, drop_index)
     rates, (allocation,) = _drop_rates(scenario, channel, np.array([scenario.tx_power]))
     ofdma, single_pa, sc_fde = rates[0].tolist()
     realization, frame, grid = channel.realization, channel.frame, channel.grid
     magnitudes = np.abs(grid.h)
     return {
-        "master_seed": master_seed,
-        "drop_index": drop_index,
-        "scenario": asdict(scenario),
+        "master_seed": _plain(master_seed),
+        "drop_index": _plain(drop_index),
+        "scenario": {name: _plain(value) for name, value in asdict(scenario).items()},
         "users": realization.users.tolist(),
         "pas": realization.pas.tolist(),
         "feed": realization.feed.tolist(),
@@ -464,11 +471,11 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
             "delay_s": realization.tap_delays.tolist(),
         },
         "frame": {
-            "cp_duration_s": frame.cp_duration,
-            "fft_duration_s": frame.fft_duration,
+            "cp_duration_s": _plain(frame.cp_duration),
+            "fft_duration_s": _plain(frame.fft_duration),
             "n_subcarriers": frame.n_subcarriers,
-            "subcarrier_spacing_hz": frame.subcarrier_spacing,
-            "cp_efficiency": frame.cp_efficiency,
+            "subcarrier_spacing_hz": _plain(frame.subcarrier_spacing),
+            "cp_efficiency": _plain(frame.cp_efficiency),
         },
         "grid_summary": {
             "n_subcarriers": grid.n_subcarriers,

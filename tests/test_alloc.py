@@ -707,16 +707,22 @@ class TestExhaustiveOracle:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_waterfill_call_per_user(self, m, monkeypatch):
+        """All users' 2^K subset rows go through one waterfill call, and
+        their rates through one user_rate call."""
         calls = []
 
-        def counted(gains, budget):
-            calls.append(np.shape(gains))
-            return waterfill(gains, budget)
+        def counted(name, func):
+            def call(rows, *args):
+                calls.append((name, np.shape(rows)))
+                return func(rows, *args)
 
-        monkeypatch.setattr(pinchsim.alloc, "waterfill", counted)
+            return call
+
+        monkeypatch.setattr(pinchsim.alloc, "waterfill", counted("waterfill", waterfill))
+        monkeypatch.setattr(pinchsim.alloc, "user_rate", counted("user_rate", user_rate))
         frame, scenario = unit_setup(m, 6)
         exhaustive_oracle(random_grid(np.random.default_rng(12), m, 6), frame, scenario)
-        assert calls == [(64, 6)] * m
+        assert calls == [("waterfill", (m * 64, 6)), ("user_rate", (64, 6))]
 
 
 @st.composite

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchsim.alloc import allocate, exhaustive_oracle
+from pinchsim.baselines import baseline_min_rates
 from pinchsim.channel import (
     SPEED_OF_LIGHT,
+    ChannelGrid,
     build_realization,
     channel_grid,
     frequency_response,
     path_loss_constant,
 )
 from pinchsim.channel import _composite_delays, _link_gains, _waveguide_phases
+from pinchsim.experiments import _drop_channel
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import (
     Scenario,
@@ -415,3 +419,49 @@ def test_complex_exp_is_conjugate_symmetric():
                 "numpy's complex exp is not conjugate-symmetric here: channel_grid's "
                 "mirrored tones assume an odd-symmetric libm (even cos, odd sin)"
             )
+
+
+class TestGainsSq:
+    """ChannelGrid.gains_sq is the one place a grid is squared."""
+
+    SCENARIO = Scenario(n_pas=4, n_users=2, bandwidth=20e6)  # drop 1 has K = 8
+
+    def test_bits_are_abs_h_squared(self):
+        grid = _drop_channel(self.SCENARIO, 1, 1).grid
+        assert grid.gains_sq.tobytes() == (np.abs(grid.h) ** 2).tobytes()
+
+    @staticmethod
+    def doubled(grid):
+        """|2 H|^2: a stand-in squared grid with other values than |H|^2."""
+        return np.abs(2.0 * grid.h) ** 2
+
+    def output(self, consumer, grid):
+        """The bytes of a consumer's output on grid, on drop 1's frame and links."""
+        channel = _drop_channel(self.SCENARIO, 1, 1)
+        args = (channel.frame, self.SCENARIO)
+        if consumer == "allocate":
+            out = allocate(grid, *args)
+            parts = (out.assignment, out.power, out.rates, out.unusable_budget)
+        elif consumer == "baseline_min_rates":
+            rates = baseline_min_rates(channel.realization, grid, *args, channel.center_alpha)
+            parts = (np.array(rates),)
+        else:
+            best, value = exhaustive_oracle(grid, *args)
+            parts = (best, np.array(value))
+        return b"".join(part.tobytes() for part in parts)
+
+    @pytest.mark.parametrize("consumer", ["allocate", "baseline_min_rates", "exhaustive_oracle"])
+    def test_grid_consumers_read_only_the_property(self, consumer, monkeypatch):
+        """With gains_sq patched to |2 H|^2, a consumer's output on H is its
+        output on the grid 2 H, bit for bit."""
+        grid = _drop_channel(self.SCENARIO, 1, 1).grid
+        plain = self.output(consumer, grid)
+        expected = self.output(consumer, ChannelGrid(2.0 * grid.h, grid.subcarrier_freqs))
+        assert expected != plain
+        monkeypatch.setattr(ChannelGrid, "gains_sq", property(self.doubled))
+        assert self.output(consumer, grid) == expected
+
+    def test_drop_channel_reads_only_the_property(self, monkeypatch):
+        monkeypatch.setattr(ChannelGrid, "gains_sq", property(self.doubled))
+        channel = _drop_channel(self.SCENARIO, 1, 1)
+        assert channel.tones.gains_sq.tobytes() == self.doubled(channel.grid).tobytes()

@@ -299,6 +299,8 @@ USAGE_ERRORS = [
     (["sweep-power", "--out", "."], "--out: cannot write a file at ."),
     (["sweep-n", "--out", ""], "--out: cannot write a file at"),
     (["sweep-n", "--json", "no/such/dir/x.json"], "no/such/dir/x.json"),
+    (["sweep-n", "--out", "same.out", "--json", "same.out"], "--json: same.out is the --out file"),
+    (["sweep-n", "--out", "same.out", "--json", "./same.out"], "--json: ./same.out is the --out"),
     (["trace-drop", "--seed", "1", "--index", "0", "--config", "bad.cfg"], "bad.cfg:3:"),
     (["trace-drop", "--seed", "1", "--index", "0", "--out", "no/dir/t.json"], "no/dir/t.json"),
 ]

@@ -516,6 +516,22 @@ class TestEmitJson:
         }
         assert first["mean_min_rate_bps"] == result.points[0].mean_min_rate
 
+    def test_numpy_typed_sweep_writes_the_same_bytes(self, tmp_path):
+        """A sweep set with numpy integers writes the CSV and the JSON of the
+        same sweep set with Python ints."""
+        python = dict(axis_values=(5,), m_values=(2,), beta_values=(0.05,), drops=2, master_seed=1)
+        numpy = dict(
+            axis_values=(np.int64(5),), m_values=(np.int32(2),), beta_values=(0.05,),
+            drops=np.int64(2), master_seed=np.uint32(1),
+        )
+        texts = []
+        for kw in (python, numpy):
+            result = run_sweep(ExperimentConfig(**kw))
+            emit_csv(result, tmp_path / "sweep.csv")
+            emit_json(result, tmp_path / "sweep.json")
+            texts.append([(tmp_path / name).read_bytes() for name in ("sweep.csv", "sweep.json")])
+        assert texts[1] == texts[0]
+
 
 class TestLoadConfig:
     def test_parses_documented_keys(self, tmp_path):
@@ -628,6 +644,11 @@ class TestTraceDrop:
         assert back["allocation"]["min_rate_bps"] == ofdma
         assert back["baseline_min_rates_bps"]["single_pa"] == single
         assert back["baseline_min_rates_bps"]["sc_fde"] == sc_fde
+
+    def test_numpy_typed_trace_dumps_as_the_python_typed_one(self):
+        numpy = trace_drop(Scenario(n_pas=np.int64(4), n_users=np.int32(2)), np.int64(1), 0)
+        python = trace_drop(Scenario(n_pas=4, n_users=2), 1, 0)
+        assert json.dumps(numpy) == json.dumps(python)
 
     @pytest.mark.parametrize(
         "n_pas, n_users, bandwidth", [(3, 2, 500e6), (30, 8, 20e6), (10, 4, 6.5e9)]
