@@ -66,17 +66,6 @@ class Allocation:
     unusable_budget: np.ndarray  # (M,) bool
 
 
-def _per_watt(gains_sq, frame: FrameDesign, scenario: Scenario) -> np.ndarray:
-    """Per-watt SNR slope of every (user, tone) from its |H|^2:
-    |H|^2 / (N * delta_f * N0).
-
-    The transmit power of each tone is spread uniformly over the N apertures,
-    hence the extra N in the denominator. Units are 1/W, so gain * power is
-    the tone SNR.
-    """
-    return gains_sq / (scenario.n_pas * frame.subcarrier_spacing * scenario.noise_psd)
-
-
 def user_rate(
     assign_row: np.ndarray,
     power_row: np.ndarray,
@@ -115,12 +104,12 @@ class ToneTerms(NamedTuple):
     """The power-free terms of the allocation on one channel."""
 
     gains_sq: np.ndarray  # (M, K) |H|^2
-    gains: np.ndarray  # (M, K) per-watt SNR slopes, from _per_watt
     prefs: list  # per user, its positive-gain tones in greedy's preference order
 
 
-def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) -> ToneTerms:
-    """ToneTerms of a channel from its squared magnitudes; reads no tx_power."""
+def _tone_terms(gains_sq: np.ndarray) -> ToneTerms:
+    """ToneTerms of a channel from its squared magnitudes alone: advantages
+    and tone orders are ratios of |H|^2, so no scale or power enters."""
     # Per user: usable tones by advantage desc, own gain desc, index asc. With
     # unusable tones keyed +inf, one argsort gives that order whatever the
     # kernel, unless two usable tones of a row tie on the key (np.sort finds
@@ -133,7 +122,7 @@ def _tone_terms(gains_sq: np.ndarray, frame: FrameDesign, scenario: Scenario) ->
     if (ranked[:, 1:] == ranked[:, :-1])[ranked[:, 1:] < np.inf].any():
         order = np.lexsort((-gains_sq, keys), axis=-1)
     prefs = [memoryview(row[:n]) for row, n in zip(order, usable.sum(axis=1).tolist())]
-    return ToneTerms(gains_sq, _per_watt(gains_sq, frame, scenario), prefs)
+    return ToneTerms(gains_sq, prefs)
 
 
 def greedy_assign(
@@ -160,7 +149,7 @@ def greedy_assign(
     benefit. Tones no user can use go to user 0: they get zero power
     whoever owns them, but every tone must have exactly one owner.
     """
-    return _greedy(_tone_terms(gains_sq, frame, scenario), frame, scenario, scenario.tx_power)
+    return _greedy(_tone_terms(gains_sq), frame, scenario, scenario.tx_power)
 
 
 def _greedy(terms: ToneTerms, frame: FrameDesign, scenario: Scenario, tx_power: float):
@@ -251,23 +240,33 @@ def waterfill(gains, budget):
     return powers, level
 
 
+def _fill(masks, gains_sq, budgets, frame: FrameDesign, scenario: Scenario):
+    """Stage 2 of allocate and exhaustive_oracle: the (..., K) 0/1 masks
+    times the per-watt slopes |H|^2 / (N * delta_f * N0) of gains_sq (1/W;
+    each tone's power spreads over the N apertures, hence the N) water-fill
+    each row on its budget in one waterfill call, rated in one user_rate
+    call. Returns the power shaped like the rows, the (R,) levels, the rates."""
+    slopes = gains_sq / (scenario.n_pas * frame.subcarrier_spacing * scenario.noise_psd)
+    rows = masks * slopes
+    power, levels = waterfill(rows.reshape(-1, rows.shape[-1]), budgets)
+    power = power.reshape(rows.shape)
+    return power, levels, user_rate(masks, power, slopes, frame)
+
+
 def allocate(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario) -> Allocation:
     """Run both stages on a channel grid: greedy assignment, then per-user
     water-filling of an equal share P_t / M of the power budget."""
-    terms = _tone_terms(grid.gains_sq, frame, scenario)
+    terms = _tone_terms(grid.gains_sq)
     return _allocate_levels(terms, frame, scenario, np.array([scenario.tx_power]))[0]
 
 
 def _allocate_levels(terms: ToneTerms, frame: FrameDesign, scenario: Scenario, tx_powers):
     """allocate on a channel's ToneTerms at each of the (L,) tx_powers: a
-    list of L Allocations. Every user of every level water-fills its share
-    over its own tones in one call: another user's tones get zero gain."""
+    list of L Allocations, with every user of every level in one _fill."""
     assignments = np.array([_greedy(terms, frame, scenario, p) for p in tx_powers.tolist()])
-    n_levels, m_users, k_tones = assignments.shape
+    n_levels, m_users, _ = assignments.shape
     budgets = (tx_powers / m_users).repeat(m_users)  # one per (level, user) row
-    power, levels = waterfill((assignments * terms.gains).reshape(-1, k_tones), budgets)
-    power = power.reshape(assignments.shape)
-    rates = user_rate(assignments, power, terms.gains, frame)
+    power, levels, rates = _fill(assignments, terms.gains_sq, budgets, frame, scenario)
     unusable = ((budgets > 0) & np.isnan(levels)).reshape(n_levels, m_users)
     return [Allocation(*level) for level in zip(assignments, power, rates, unusable)]
 
@@ -287,8 +286,9 @@ def exhaustive_oracle(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario)
     the problem restricted to the heuristic's equal per-user power split, so
     comparisons against the greedy stage isolate assignment quality.
 
-    All users' rates on all 2^K tone subsets come from one waterfill and one
-    user_rate call over the (M, 2^K) rows, as in allocate: the same code.
+    All users' rates on all 2^K tone subsets come from one _fill over the
+    (M, 2^K) rows, the stage 2 of allocate: the two differ only in how they
+    assign tones.
 
     Raises ValueError past ORACLE_MAX_USERS users or ORACLE_MAX_TONES tones.
     """
@@ -298,13 +298,11 @@ def exhaustive_oracle(grid: ChannelGrid, frame: FrameDesign, scenario: Scenario)
             f"instance {m_users} users x {k_tones} tones exceeds enumeration "
             f"limits ({ORACLE_MAX_USERS} x {ORACLE_MAX_TONES})"
         )
-    gains = _per_watt(grid.gains_sq, frame, scenario)[:, None, :]  # (M, 1, K)
-
     # Row s of subsets holds the tones of bitmask s (tone k is bit k); row 0
     # is the empty subset, whose rate is zero. table[m, s] is user m's rate on it.
     subsets = (np.arange(1 << k_tones)[:, None] >> np.arange(k_tones) & 1).astype(np.int8)
-    power, _ = waterfill((subsets * gains).reshape(-1, k_tones), scenario.tx_power / m_users)
-    table = user_rate(subsets, power.reshape(m_users, -1, k_tones), gains, frame)
+    gains_sq = grid.gains_sq[:, None, :]  # (M, 1, K) against the (2^K, K) subsets
+    *_, table = _fill(subsets, gains_sq, scenario.tx_power / m_users, frame, scenario)
 
     # Every user's tone bitmask under all assignments in lexicographic order:
     # each tone appends a base-M digit, so tone 0 is the most significant

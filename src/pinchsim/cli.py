@@ -101,8 +101,12 @@ def _config(args) -> ExperimentConfig:
         folder = os.path.dirname(os.path.abspath(path))
         if not path or os.path.isdir(path) or not os.path.isdir(folder):
             args.error(f"--{flag}: cannot write a file at {path}")
-    if getattr(args, "json", None) and os.path.realpath(args.json) == os.path.realpath(args.out):
-        args.error(f"--json: {args.json} is the --out file; the JSON would replace the CSV")
+    named = {}  # real path -> the first of --config, --out and --json naming it
+    for flag in ("config", "out", "json"):
+        path = getattr(args, flag, None)
+        other = named.setdefault(os.path.realpath(path), flag) if path else flag
+        if other != flag:
+            args.error(f"--{flag}: {path} is the --{other} file; one would replace the other")
     return config
 
 

@@ -205,7 +205,7 @@ def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int) -> Drop
     center_alpha = sample_blockage(
         scenario, users, [center_pa_position(scenario)], rng_center
     )[:, 0]
-    tones = _tone_terms(grid.gains_sq, frame, scenario)
+    tones = _tone_terms(grid.gains_sq)
     center_sq = _center_gains_sq(users, center_alpha, scenario)
     return DropChannel(realization, frame, grid, center_alpha, tones, center_sq)
 
@@ -421,7 +421,7 @@ def load_config(path) -> ExperimentConfig:
     errors so a typo cannot silently fall back to a default or another value.
     """
     overrides, first = {}, {}  # key -> parsed value, and the line that set it
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is no key
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

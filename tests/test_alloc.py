@@ -16,7 +16,7 @@ from pinchsim.alloc import (
     Allocation,
     _allocate_levels,
     _channel_advantage,
-    _per_watt,
+    _fill,
     _tone_terms,
     allocate,
     exhaustive_oracle,
@@ -234,27 +234,25 @@ TIED_PAPER_DROPS = [
 ]
 
 
-def _tone_orders(gains_sq, frame, scenario):
-    return [list(pref) for pref in _tone_terms(gains_sq, frame, scenario).prefs]
+def _tone_orders(gains_sq):
+    return [list(pref) for pref in _tone_terms(gains_sq).prefs]
 
 
 class TestToneOrders:
     @settings(max_examples=300, deadline=None)
     @given(gains_sq=gain_instances() | tied_gain_instances())
     def test_equal_reference_lexsort(self, gains_sq):
-        frame, scenario = unit_setup(*gains_sq.shape)
-        assert _tone_orders(gains_sq, frame, scenario) == reference_tone_orders(gains_sq)
+        assert _tone_orders(gains_sq) == reference_tone_orders(gains_sq)
 
     def test_lexsort_only_on_tied_keys(self):
         # Distinct advantages: the argsort order is the only one. Tone 2
         # copies tone 0, so both users then tie on a key.
-        frame, scenario = unit_setup(2, 4)
         free = np.array([[4.0, 1.0, 3.0, 0.0], [1.0, 2.0, 0.5, 5.0]])
         tied = free.copy()
         tied[:, 2] = tied[:, 0]
         for gains_sq, calls in ((free, 0), (tied, 1)):
             with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
-                orders = _tone_orders(gains_sq, frame, scenario)
+                orders = _tone_orders(gains_sq)
             assert spy.call_count == calls
             assert orders == reference_tone_orders(gains_sq)
 
@@ -262,18 +260,17 @@ class TestToneOrders:
         # Both of user 0's tones have an advantage that rounds to 0.0, so
         # both key -0.0: a tie that only the lexsort breaks, by own gain
         # (tone 1 first). Users 1 and 2 have distinct keys.
-        frame, scenario = unit_setup(3, 2)
         gains_sq = np.array([[1e-320, 2e-320], [1e10, 2e10], [2e10, 1e10]])
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
-            orders = _tone_orders(gains_sq, frame, scenario)
+            orders = _tone_orders(gains_sq)
         assert spy.call_count == 1
         assert orders == [[1, 0], [1, 0], [0, 1]] == reference_tone_orders(gains_sq)
 
     @pytest.mark.parametrize("drop", WIDEBAND_DROPS + TIED_PAPER_DROPS)
     def test_full_size_drops(self, drop):
-        gains_sq, frame, scenario = pinned_drop(*drop)
+        gains_sq, _, _ = pinned_drop(*drop)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
-            orders = _tone_orders(gains_sq, frame, scenario)
+            orders = _tone_orders(gains_sq)
         assert spy.call_count == (1 if drop in TIED_PAPER_DROPS else 0)
         assert orders == reference_tone_orders(gains_sq)
 
@@ -293,7 +290,7 @@ from pathlib import Path
 from pinchsim.alloc import _tone_terms, greedy_assign
 cases = pickle.loads(Path(sys.argv[1]).read_bytes())
 out = [
-    ([bytes(p) for p in _tone_terms(*case).prefs], greedy_assign(*case).tobytes())
+    ([bytes(p) for p in _tone_terms(case[0]).prefs], greedy_assign(*case).tobytes())
     for case in cases
 ]
 Path(sys.argv[2]).write_bytes(pickle.dumps(out))
@@ -310,7 +307,7 @@ def test_tone_orders_and_greedy_do_not_depend_on_cpu_dispatch(tmp_path):
     (tmp_path / "cases.pkl").write_bytes(pickle.dumps(cases))
     run_with_cpu_dispatch_off(DISPATCH_OFF_CHILD, tmp_path / "cases.pkl", tmp_path / "out.pkl")
     expected = [
-        ([bytes(p) for p in _tone_terms(*case).prefs], greedy_assign(*case).tobytes())
+        ([bytes(p) for p in _tone_terms(case[0]).prefs], greedy_assign(*case).tobytes())
         for case in cases
     ]
     assert pickle.loads((tmp_path / "out.pkl").read_bytes()) == expected
@@ -505,7 +502,7 @@ def test_allocate_equals_per_user_reference(gains_sq, scale, tx_powers):
     grid = grid_from_h(scale * np.sqrt(gains_sq))
     frame = make_frame(k=64, bandwidth=20e6, cp_duration=1e-8)
     scenario = Scenario(n_pas=3, n_users=gains_sq.shape[0], bandwidth=20e6)
-    terms = _tone_terms(np.abs(grid.h) ** 2, frame, scenario)
+    terms = _tone_terms(np.abs(grid.h) ** 2)
     allocations = _allocate_levels(terms, frame, scenario, np.array(tx_powers))
     assert len(allocations) == len(tx_powers)
     for tx_power, got in zip(tx_powers, allocations):
@@ -571,15 +568,26 @@ class TestAllocate:
         assert np.array_equal(out.assignment.sum(axis=0), np.ones(4, dtype=np.int8))
 
     def test_gain_grid_formula(self):
+        # Stage 2 water-fills and rates the per-watt slope |H|^2 / (N * delta_f * N0).
         frame = make_frame(k=4, bandwidth=500e6)
-        scenario = unit_scenario(1, 4, n_pas=5)
-        scenario = type(scenario)(
-            n_pas=5, n_users=1, bandwidth=500e6, tx_power=0.1, noise_power=1e-12
-        )
+        scenario = Scenario(n_pas=5, n_users=1, bandwidth=500e6, tx_power=0.1, noise_power=1e-12)
         grid = grid_from_h(np.full((1, 4), 2e-4 + 0j))
-        g = _per_watt(np.abs(grid.h) ** 2, frame, scenario)
+        with mock.patch.object(pinchsim.alloc, "waterfill", wraps=waterfill) as spy:
+            _, _, rates = _fill(np.ones((1, 4)), grid.gains_sq, 0.1, frame, scenario)
         expected = (2e-4) ** 2 / (5 * frame.subcarrier_spacing * (1e-12 / 500e6))
-        assert np.allclose(g, expected, rtol=1e-12)
+        assert np.allclose(spy.call_args.args[0], expected, rtol=1e-12)
+        spectral = 4 * math.log2(1 + expected * 0.1 / 4)  # four tones at 0.1 / 4 W each
+        assert rates[0] == pytest.approx(frame.cp_efficiency * frame.subcarrier_spacing * spectral)
+
+    @pytest.mark.parametrize("allocator", [allocate, exhaustive_oracle])
+    def test_one_stage_2_call(self, allocator):
+        """The heuristic and the oracle differ only in how they assign tones:
+        each water-fills and rates through one _fill call."""
+        frame, scenario = unit_setup(2, 4)
+        grid = random_grid(np.random.default_rng(13), 2, 4)
+        with mock.patch.object(pinchsim.alloc, "_fill", wraps=_fill) as spy:
+            allocator(grid, frame, scenario)
+        assert spy.call_count == 1
 
     def test_invariants_random_batch(self):
         rng = np.random.default_rng(31)

@@ -286,6 +286,7 @@ def test_bad_numbers_rejected_naming_flag(tiny_config, tmp_path, capsys, no_drop
 
 
 BAD_CONFIG = "axis = pa_count\ndrops = 2\nm_values = 2, x\n"
+GOOD_CONFIG = "axis = pa_count\ndrops = 2\n"
 USAGE_ERRORS = [
     (["sweep-n", "--m-values", "2,2"], "m_values has duplicate entries"),
     (["sweep-n", "--n-values", "10,5"], "axis_values must be sorted"),
@@ -303,6 +304,15 @@ USAGE_ERRORS = [
     (["sweep-n", "--out", "same.out", "--json", "./same.out"], "--json: ./same.out is the --out"),
     (["trace-drop", "--seed", "1", "--index", "0", "--config", "bad.cfg"], "bad.cfg:3:"),
     (["trace-drop", "--seed", "1", "--index", "0", "--out", "no/dir/t.json"], "no/dir/t.json"),
+    (["simulate", "--config", "a.cfg", "--out", "a.cfg"], "--out: a.cfg is the --config file"),
+    (
+        ["simulate", "--config", "a.cfg", "--out", "o.csv", "--json", "a.cfg"],
+        "--json: a.cfg is the --config file",
+    ),
+    (
+        ["trace-drop", "--seed", "1", "--index", "0", "--config", "a.cfg", "--out", "a.cfg"],
+        "--out: a.cfg is the --config file",
+    ),
 ]
 
 
@@ -314,6 +324,7 @@ def test_bad_input_is_a_usage_error_before_any_drop(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(BAD_CONFIG)
+    (tmp_path / "a.cfg").write_text(GOOD_CONFIG)
     if argv[0] != "trace-drop" and "--out" not in argv:
         argv = argv + ["--out", "never.csv"]
     with pytest.raises(SystemExit) as exc:
@@ -322,7 +333,8 @@ def test_bad_input_is_a_usage_error_before_any_drop(
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "bad.cfg"]
+    assert (tmp_path / "a.cfg").read_text() == GOOD_CONFIG
 
 
 @pytest.mark.parametrize("what", ["sweep CSV", "sweep JSON", "trace JSON"])

@@ -209,6 +209,8 @@ class TestRunSweep:
                 assert point.mean_min_rate == triple[s]
                 assert point.stderr == 0.0
                 assert point.drops == 1
+        with pytest.raises(KeyError):
+            result.point("ofdma", cfg.axis_values[-1] + 1, 2, 0.05)  # a value not swept
 
     def test_doubling_drops_extends_streams(self):
         """Both job shapes: a channel per PA count at one power, and one
@@ -557,6 +559,15 @@ class TestLoadConfig:
         assert cfg.bandwidth == 250e6
         assert cfg.tx_power_dbm == 15.0
         assert cfg.room_length == 30.0  # untouched default
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """Editors that save UTF-8 with a byte-order mark write it before the
+        first key; the file loads as without it."""
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("drops = 3\naxis_values = 5, 10\n", encoding="utf-8")
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain) != ExperimentConfig()
 
     def test_unknown_key_is_an_error(self, tmp_path):
         path = tmp_path / "cfg.txt"

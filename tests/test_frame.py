@@ -40,6 +40,18 @@ class TestFrameDesignType:
         with pytest.raises(ValueError):
             FrameDesign(-1e-9, 1e-7, 64, 1e7)
 
+    @pytest.mark.parametrize(
+        "fft_duration, spacing, message",
+        [
+            (0.0, 1e7, "fft_duration"),
+            (-1e-7, 1e7, "fft_duration"),
+            (1e-7, 0.0, "subcarrier_spacing"),
+        ],
+    )
+    def test_rejects_nonpositive_duration_or_spacing(self, fft_duration, spacing, message):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            FrameDesign(0.0, fft_duration, 64, spacing)
+
     def test_cp_efficiency_definition(self):
         fd = FrameDesign(24e-9, 84e-9, 64, 7.8125e6)
         assert fd.cp_efficiency == pytest.approx(84.0 / 108.0, rel=1e-15)
