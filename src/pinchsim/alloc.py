@@ -197,8 +197,8 @@ def waterfill(gains, budget):
     ----------
     gains : (K,) per-watt SNR slopes, 1/W, entries >= 0, or (R, K) rows of
         them, each water-filled on its own.
-    budget : total power to spend per row, watts, >= 0: one for every row,
-        or an (R,) array with one per row.
+    budget : total power to spend per row, watts, finite and >= 0: one for
+        every row, or an (R,) array with one per row.
 
     Returns
     -------
@@ -210,9 +210,9 @@ def waterfill(gains, budget):
     """
     gains = np.asarray(gains, dtype=float)
     budget = np.asarray(budget, dtype=float)
-    if (budget < 0).any():
-        raise ValueError("budget must be >= 0")
-    if (gains < 0).any():
+    if not ((budget >= 0) & (budget < np.inf)).all():  # nan fails both
+        raise ValueError("budget must be finite and >= 0")
+    if not (gains >= 0).all():  # nan is not >= 0
         raise ValueError("gains must be >= 0")
     rows = np.atleast_2d(gains)
     powers = np.zeros_like(rows)

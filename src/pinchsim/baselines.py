@@ -66,7 +66,7 @@ def sc_fde_effective_snr(gammas):
     tone is dead. (K,) SNRs give a float, (..., K) ones a (...) array.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if (gammas < 0).any():
+    if not (gammas >= 0).all():  # nan is not >= 0
         raise ValueError("per-tone SNRs must be >= 0")
     snr = gammas.shape[-1] / np.sum(1.0 / (gammas + 1.0), axis=-1) - 1.0
     return float(snr) if gammas.ndim == 1 else snr

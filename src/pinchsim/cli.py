@@ -8,23 +8,22 @@ Subcommands:
 
 A flag that sets an ExperimentConfig field stores under that field's name,
 so the config is the file (or the defaults) with every given flag replacing
-its field. A bad flag, config file or output path is a usage error (exit 2)
-before the first drop runs; a write that fails anyway ends in one error
-line (exit 1).
+its field. Its value meets that field's own check (trace-drop's scenario
+flags meet Scenario's), so it fails in the words a config file's would. A
+bad flag, config file or output path is a usage error (exit 2) before the
+first drop runs; a write that fails anyway ends in one error line (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
 
 from .experiments import (
     ExperimentConfig,
-    _usable_dbm,
     _write,
     emit_csv,
     emit_json,
@@ -33,6 +32,7 @@ from .experiments import (
     scenario_for,
     trace_drop,
 )
+from .geometry import Scenario
 
 __all__ = ["main"]
 
@@ -54,31 +54,24 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+def _checked(name: str, item, cls=ExperimentConfig, **context):
+    """Argument type of cls's field name: one item value, or comma-separated
+    ones where the field's default is a tuple, held to cls's own check of the
+    field with the other fields at their defaults or set by context."""
 
+    def check(text: str):
+        if isinstance(getattr(cls, name, None), tuple):
+            value = tuple(item(t) for t in text.split(",") if t.strip())
+        else:
+            value = item(text)
+        try:
+            cls(**context, **{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
 
-def _dbm(text: str) -> float:
-    value = float(text)
-    if not _usable_dbm(value):
-        raise argparse.ArgumentTypeError(f"must be finite, with finite watts > 0, got {value}")
-    return value
-
-
-def _list_of(item):
-    """Argument type of a nonempty comma-separated list of item values."""
-
-    def parse(text: str) -> tuple:
-        values = tuple(item(t) for t in text.split(",") if t.strip())
-        if not values:
-            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
-        return values
-
-    parse.__name__ = f"{item.__name__.lstrip('_')} list"
-    return parse
+    check.__name__ = item.__name__
+    return check
 
 
 def _config(args) -> ExperimentConfig:
@@ -140,15 +133,15 @@ def _sweep_parser(sub, name: str, summary: str, axis: str | None = None):
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", help="also write a JSON mirror here")
     p.add_argument(
-        "--seed", dest="master_seed", metavar="SEED", type=_nonnegative_int,
+        "--seed", dest="master_seed", metavar="SEED", type=_checked("master_seed", int),
         help="master seed override",
     )
-    p.add_argument("--drops", type=_positive_int, help="Monte Carlo drops override")
+    p.add_argument("--drops", type=_checked("drops", int), help="Monte Carlo drops override")
     p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, >= 1")
     if axis:
-        p.add_argument("--m-values", type=_list_of(_positive_int), help="user counts, e.g. 2,4")
+        p.add_argument("--m-values", type=_checked("m_values", int), help="user counts, e.g. 2,4")
         p.add_argument(
-            "--beta-values", type=_list_of(_nonnegative_float),
+            "--beta-values", type=_checked("beta_values", float),
             help="blockage densities, e.g. 0.05,0.15",
         )
     p.set_defaults(func=_sweep, error=p.error, axis=axis)
@@ -166,31 +159,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_n = _sweep_parser(sub, "sweep-n", "minimum rate versus PA count", "pa_count")
     p_n.add_argument(
-        "--n-values", dest="axis_values", metavar="N_VALUES", type=_list_of(_positive_int),
-        help="PA counts, e.g. 5,10,15",
+        "--n-values", dest="axis_values", metavar="N_VALUES",
+        type=_checked("axis_values", int, axis="pa_count"), help="PA counts, e.g. 5,10,15",
     )
-    p_n.add_argument("--tx-power-dbm", type=_dbm, help="fixed transmit power, dBm")
+    p_n.add_argument(
+        "--tx-power-dbm", type=_checked("tx_power_dbm", float), help="fixed transmit power, dBm"
+    )
     p_n.set_defaults(default_axis_values=ExperimentConfig().axis_values)
 
     p_p = _sweep_parser(sub, "sweep-power", "minimum rate versus transmit power", "tx_power")
     p_p.add_argument(
-        "--power-values", dest="axis_values", metavar="POWER_VALUES", type=_list_of(_dbm),
+        "--power-values", dest="axis_values", metavar="POWER_VALUES",
+        type=_checked("axis_values", float, axis="tx_power"),
         help="transmit powers in dBm, e.g. 0,10,20",
     )
-    p_p.add_argument("--pa-count", type=_positive_int, help="fixed number of PAs")
+    p_p.add_argument("--pa-count", type=_checked("pa_count", int), help="fixed number of PAs")
     p_p.set_defaults(default_axis_values=(0.0, 5.0, 10.0, 15.0, 20.0))
 
     p_t = sub.add_parser("trace-drop", help="dump one drop as JSON")
     p_t.add_argument(
-        "--seed", dest="master_seed", metavar="SEED", type=_nonnegative_int, required=True,
-        help="master seed",
+        "--seed", dest="master_seed", metavar="SEED", type=_checked("master_seed", int),
+        required=True, help="master seed",
     )
     p_t.add_argument("--index", type=_nonnegative_int, required=True, help="drop index")
     p_t.add_argument("--config", help="config file for scenario constants")
-    p_t.add_argument("--n-pas", type=_positive_int, default=10)
-    p_t.add_argument("--n-users", type=_positive_int, default=2)
-    p_t.add_argument("--beta", type=_nonnegative_float, default=0.05)
-    p_t.add_argument("--tx-power-dbm", type=_dbm)
+    p_t.add_argument("--n-pas", type=_checked("n_pas", int, Scenario, n_users=1), default=10)
+    p_t.add_argument("--n-users", type=_checked("n_users", int, Scenario, n_pas=1), default=2)
+    p_t.add_argument(
+        "--beta", type=_checked("blockage_density", float, Scenario, n_pas=1, n_users=1),
+        default=0.05,
+    )
+    p_t.add_argument("--tx-power-dbm", type=_checked("tx_power_dbm", float))
     p_t.add_argument("--out", help="write JSON here instead of stdout")
     p_t.set_defaults(func=_trace, error=p_t.error)
 

@@ -158,10 +158,12 @@ def sample_users(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 def los_probability_matrix(users, pas, blockage_density: float) -> np.ndarray:
     """Probabilities of an unobstructed LoS link, exp(-beta * distance), for
-    every user/PA pair, shape (M, N)."""
+    every user/PA pair, shape (M, N). A product past the float range is
+    -inf, whose probability 0 is exact."""
     if blockage_density < 0:
         raise ValueError("blockage_density must be >= 0")
-    return np.exp(-blockage_density * distance_matrix(users, pas))
+    with np.errstate(over="ignore"):
+        return np.exp(-blockage_density * distance_matrix(users, pas))
 
 
 def sample_blockage(scenario: Scenario, users, pas, rng: np.random.Generator) -> np.ndarray:

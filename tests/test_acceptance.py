@@ -219,7 +219,7 @@ def test_6_minimum_rate_trends_versus_pa_count():
         drops=500,
         master_seed=12345,
     )
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, threads=2)  # the same bytes as serial (TestRunSweep)
 
     def means(scheme, beta):
         return np.array(

@@ -397,6 +397,13 @@ class TestWaterfill:
             waterfill(np.ones((2, 3)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             waterfill(np.array([-1.0]), 1.0)
+        # nan is not >= 0, and an infinite budget has no finite water level
+        for gains, budget in (
+            ([1.0, 2.0], np.nan), ([np.nan, 1.0], 1.0), ([1.0, 2.0], np.inf),
+            (np.ones((2, 3)), np.array([1.0, np.nan])),
+        ):
+            with pytest.raises(ValueError):
+                waterfill(np.array(gains), budget)
 
     def test_kkt_conditions_random_batch(self):
         rng = np.random.default_rng(21)

@@ -158,6 +158,8 @@ class TestScFdeEffectiveSnr:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sc_fde_effective_snr([-0.1])
+        with pytest.raises(ValueError):
+            sc_fde_effective_snr([np.nan, 1.0])
 
 
 tone_snrs = st.lists(

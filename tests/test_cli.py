@@ -11,6 +11,8 @@ import pytest
 
 import pinchsim
 from pinchsim.cli import main
+from pinchsim.experiments import load_config
+from pinchsim.geometry import Scenario
 
 
 def read_rows(path):
@@ -259,6 +261,9 @@ BAD_VALUES = [
     bad(["sweep-n", "--m-values", ","], "--m-values"),
     bad(["sweep-n", "--n-values", ","], "--n-values"),
     bad(["sweep-power", "--beta-values", " , "], "--beta-values"),
+    # rules of the whole list, and a NaN density on trace-drop
+    bad(["sweep-n", "--m-values", "2,2"], "--m-values"),
+    bad(["trace-drop", "--seed", "1", "--index", "0", "--beta", "nan"], "--beta"),
 ]
 
 
@@ -283,6 +288,68 @@ def test_bad_numbers_rejected_naming_flag(tiny_config, tmp_path, capsys, no_drop
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err  # not just the usage line
     assert not out.exists()
+
+
+def flag_error(argv, flag, capsys):
+    """The text argparse prints after "argument <flag>: " for argv."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    head, _, text = capsys.readouterr().err.partition(f"argument {flag}: ")
+    assert head
+    return text.strip()
+
+
+# One bad value for each flag that sets a config key, and the key it sets.
+CONFIG_FLAGS = [
+    (["simulate", "--seed", "-1"], "master_seed"),
+    (["sweep-n", "--drops", "0"], "drops"),
+    (["sweep-power", "--m-values", "2,2"], "m_values"),
+    (["sweep-n", "--beta-values", "nan"], "beta_values"),
+    (["sweep-n", "--n-values", "0"], "axis_values"),
+    (["sweep-power", "--power-values", "0,inf"], "axis_values"),
+    (["sweep-power", "--pa-count", "0"], "pa_count"),
+    (["sweep-n", "--tx-power-dbm", "inf"], "tx_power_dbm"),
+    (["trace-drop", "--index", "0", "--seed", "-1"], "master_seed"),
+    (["trace-drop", "--seed", "1", "--index", "0", "--tx-power-dbm", "4000"], "tx_power_dbm"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, key", CONFIG_FLAGS, ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv, _ in CONFIG_FLAGS]
+)
+def test_flag_error_reads_as_the_config_error(tmp_path, capsys, no_drops, argv, key):
+    """A bad flag value gets the message load_config gives for the same key
+    and value: one rule, stated once, in one wording."""
+    flag, value = argv[-2:]
+    axis = "tx_power" if argv[0] == "sweep-power" else "pa_count"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"axis = {axis}\n{key} = {value}\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(path)
+    head, _, config_text = str(exc.value).partition(f"{path}:2: ")
+    assert not head
+    if argv[0] != "trace-drop":
+        argv = argv + ["--out", str(tmp_path / "never.csv")]
+    assert flag_error(argv, flag, capsys) == config_text
+
+
+SCENARIO_FLAGS = [
+    ("--n-pas", "0", "n_pas", int),
+    ("--n-users", "-3", "n_users", int),
+    ("--beta", "nan", "blockage_density", float),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, field, parse", SCENARIO_FLAGS,
+    ids=[f"trace-drop{flag}={value}" for flag, value, _, _ in SCENARIO_FLAGS],
+)
+def test_trace_flag_error_reads_as_the_scenario_error(capsys, no_drops, flag, value, field, parse):
+    with pytest.raises(ValueError) as exc:
+        Scenario(**{"n_pas": 10, "n_users": 2, field: parse(value)})
+    argv = ["trace-drop", "--seed", "1", "--index", "0", flag, value]
+    assert flag_error(argv, flag, capsys) == str(exc.value)
 
 
 BAD_CONFIG = "axis = pa_count\ndrops = 2\nm_values = 2, x\n"

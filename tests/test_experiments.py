@@ -178,6 +178,10 @@ class TestRunDrop:
         sc = Scenario(n_pas=3, n_users=2, blockage_density=1e6)
         assert run_drop(sc, 1, 0) == (0.0, 0.0, 0.0)
 
+    def test_blockage_past_the_float_range_zeroes_everything(self):
+        sc = Scenario(n_pas=3, n_users=2, blockage_density=1e307)
+        assert run_drop(sc, 1, 0) == (0.0, 0.0, 0.0)
+
     def test_flat_single_user_reduction(self):
         # One user, one PA at center, no blockage: all three schemes see the
         # same link with no CP, so the three minima coincide and are positive.

@@ -185,6 +185,10 @@ class TestLosProbability:
         with pytest.raises(ValueError):
             los_probability_matrix((0, 0, 0), (1, 0, 0), -0.1)
 
+    def test_beta_times_distance_past_the_float_range_is_exactly_zero(self):
+        # -1e307 * 30 overflows to -inf, and exp(-inf) = 0, without a warning
+        assert los_probability_matrix((0, 0, 0), (30.0, 0, 0), 1e307)[0, 0] == 0.0
+
 
 class TestSampleBlockage:
     def test_beta_zero_all_ones(self):
