@@ -36,8 +36,8 @@ __all__ = [
 
 def path_loss_constant(carrier_freq: float) -> float:
     """Free-space path-gain constant (lambda / 4 pi)^2 = c^2 / (16 pi^2 f_c^2)."""
-    if carrier_freq <= 0:
-        raise ValueError("carrier_freq must be positive")
+    if not 0 < carrier_freq < math.inf:
+        raise ValueError(f"carrier_freq must be positive and finite, got {carrier_freq}")
     wavelength = SPEED_OF_LIGHT / carrier_freq
     return (wavelength / (4.0 * math.pi)) ** 2
 

@@ -9,9 +9,10 @@ Subcommands:
 A flag that sets an ExperimentConfig field stores under that field's name,
 so the config is the file (or the defaults) with every given flag replacing
 its field. Its value meets that field's own check (trace-drop's scenario
-flags meet Scenario's), so it fails in the words a config file's would. A
-bad flag, config file or output path is a usage error (exit 2) before the
-first drop runs; a write that fails anyway ends in one error line (exit 1).
+flags meet Scenario's, --threads run_sweep's), so it fails in the words a
+config file's would. A bad flag, config file or output path is a usage error
+(exit 2) before the first drop runs; a write that fails anyway ends in one
+error line (exit 1).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import fields, replace
 
 from .experiments import (
     ExperimentConfig,
+    _check_threads,
     _write,
     emit_csv,
     emit_json,
@@ -39,25 +41,18 @@ __all__ = ["main"]
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _int_at_least(text: str, minimum: int) -> int:
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
 def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _checked(name: str, item, cls=ExperimentConfig, **context):
     """Argument type of cls's field name: one item value, or comma-separated
     ones where the field's default is a tuple, held to cls's own check of the
-    field with the other fields at their defaults or set by context."""
+    field with the other fields at their defaults or set by context. cls is a
+    class or a check that takes the field as a keyword, as _check_threads."""
 
     def check(text: str):
         if isinstance(getattr(cls, name, None), tuple):
@@ -137,7 +132,10 @@ def _sweep_parser(sub, name: str, summary: str, axis: str | None = None):
         help="master seed override",
     )
     p.add_argument("--drops", type=_checked("drops", int), help="Monte Carlo drops override")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, >= 1")
+    p.add_argument(
+        "--threads", type=_checked("threads", int, _check_threads), default=1,
+        help="worker processes, >= 1",
+    )
     if axis:
         p.add_argument("--m-values", type=_checked("m_values", int), help="user counts, e.g. 2,4")
         p.add_argument(

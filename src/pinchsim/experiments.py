@@ -9,12 +9,15 @@ comparisons across transmit power and blockage density meaningful and the
 doubled-drop run an extension of the shorter one.
 
 A sweep's unit of work is one (user count, blockage density) and one
-contiguous chunk of drops, run at every axis value. Only the allocation and
-the TDMA baselines read the transmit power, so a drop builds one channel
-(users, blockage, taps, frame, grid, and the power-free terms of the rates)
-per PA count and evaluates all its power levels as array rows; the bits are
-those of separate run_drop calls. Parallel sweeps run these jobs in worker
-processes, byte-identical for any count.
+contiguous chunk of drops, run at every axis value. A drop's users, their
+center-PA LoS and the single-PA |h|^2 read no PA count, so they are built
+once per (M, beta, drop) and shared by every PA count; the single-PA
+minimum reads only them and the power, so it is equal across PA counts.
+Only the allocation and the TDMA baselines read the power, so a drop builds
+one channel (layout blockage, taps, frame, grid, and the power-free terms of
+the rates) per PA count and evaluates all its power levels as array rows;
+the bits are those of separate run_drop calls. Parallel sweeps run these
+jobs in worker processes, byte-identical for any count.
 """
 
 from __future__ import annotations
@@ -169,15 +172,23 @@ def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float
     )
 
 
+def _drop_rng(master_seed: int, drop_index: int, purpose: int) -> np.random.Generator:
+    """The generator of one purpose of one drop, seeded by (seed, index, purpose) only."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, drop_index, purpose)))
+
+
 def drop_rngs(master_seed: int, drop_index: int):
-    """Independent generators for one drop: user positions, layout blockage,
-    center-PA blockage. Derived from (seed, index, purpose) only."""
-    return tuple(
-        np.random.default_rng(
-            np.random.SeedSequence((master_seed, drop_index, purpose))
-        )
-        for purpose in (_STREAM_USERS, _STREAM_BLOCKAGE, _STREAM_CENTER_BLOCKAGE)
-    )
+    """_drop_rng's generators of a drop's user positions, layout and center-PA blockage."""
+    streams = (_STREAM_USERS, _STREAM_BLOCKAGE, _STREAM_CENTER_BLOCKAGE)
+    return tuple(_drop_rng(master_seed, drop_index, purpose) for purpose in streams)
+
+
+def _drop_users(scenario: Scenario, master_seed: int, drop_index: int) -> tuple:
+    """A drop's users, center-PA LoS and single-PA |h|^2: none reads the PA count or power."""
+    users = sample_users(scenario, _drop_rng(master_seed, drop_index, _STREAM_USERS))
+    rng_center = _drop_rng(master_seed, drop_index, _STREAM_CENTER_BLOCKAGE)
+    alpha = sample_blockage(scenario, users, [center_pa_position(scenario)], rng_center)[:, 0]
+    return users, alpha, _center_gains_sq(users, alpha, scenario)
 
 
 class DropChannel(NamedTuple):
@@ -191,22 +202,17 @@ class DropChannel(NamedTuple):
     center_sq: np.ndarray  # (M,) single-PA |h|^2
 
 
-def _drop_channel(scenario: Scenario, master_seed: int, drop_index: int) -> DropChannel:
-    """The power-free half of a drop: users, blockage, taps, frame, grid and
-    the power-free terms of the allocation and the baselines. None of these
-    reads tx_power, so one channel serves every power level."""
-    rng_users, rng_block, rng_center = drop_rngs(master_seed, drop_index)
-    users = sample_users(scenario, rng_users)
-    pas = pa_positions(scenario)
-    los = sample_blockage(scenario, users, pas, rng_block)
+def _drop_channel(scenario: Scenario, drop, master_seed: int, drop_index: int) -> DropChannel:
+    """The power-free half of a drop on the users of _drop_users: layout
+    blockage, taps, frame, grid and the power-free terms of the rates. None
+    of these reads tx_power, so one channel serves every power level."""
+    users, center_alpha, center_sq = drop
+    rng_block = _drop_rng(master_seed, drop_index, _STREAM_BLOCKAGE)
+    los = sample_blockage(scenario, users, pa_positions(scenario), rng_block)
     realization = build_realization(scenario, users, los)
     frame = design_frame(scenario, realization)
     grid = channel_grid(realization, frame)
-    center_alpha = sample_blockage(
-        scenario, users, [center_pa_position(scenario)], rng_center
-    )[:, 0]
     tones = _tone_terms(grid.gains_sq)
-    center_sq = _center_gains_sq(users, center_alpha, scenario)
     return DropChannel(realization, frame, grid, center_alpha, tones, center_sq)
 
 
@@ -227,8 +233,8 @@ def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
     Returns (ofdma, single_pa, sc_fde) in bits/s. A drop where every scheme
     lands at zero (total blockage) is a valid data point.
     """
-    channel = _drop_channel(scenario, master_seed, drop_index)
-    return tuple(_drop_rates(scenario, channel, np.array([scenario.tx_power]))[0][0].tolist())
+    channels = [(scenario, np.array([scenario.tx_power]))]
+    return tuple(_drop_chunk(channels, master_seed, drop_index, drop_index + 1)[0][0].tolist())
 
 
 @dataclass
@@ -274,14 +280,17 @@ def _chunks(drops: int, workers: int) -> list[tuple[int, int]]:
 def _drop_chunk(channels: list, master_seed: int, start: int, stop: int):
     """Drops start..stop-1 on the (scenario, tx_powers) channels of one
     (M, beta): per drop, run_drop's (ofdma, single_pa, sc_fde) at every axis
-    value as an (axis values, 3) array."""
-    return [
-        np.concatenate([
-            _drop_rates(scenario, _drop_channel(scenario, master_seed, d), tx_powers)[0]
+    value as an (axis values, 3) array. A drop's users, center-PA LoS and
+    single-PA |h|^2 are built once and shared by all its channels, so its
+    single-PA minimum is equal across PA counts by construction."""
+    rows = []
+    for d in range(start, stop):
+        drop = _drop_users(channels[0][0], master_seed, d)
+        rows.append(np.concatenate([
+            _drop_rates(scenario, _drop_channel(scenario, drop, master_seed, d), tx_powers)[0]
             for scenario, tx_powers in channels
-        ])
-        for d in range(start, stop)
-    ]
+        ]))
+    return rows
 
 
 def _channels(config: ExperimentConfig, n_users: int, beta: float) -> list:
@@ -293,18 +302,24 @@ def _channels(config: ExperimentConfig, n_users: int, beta: float) -> list:
     return [(s, np.array([s.tx_power])) for s in scenarios]
 
 
+def _check_threads(threads) -> None:
+    """run_sweep's rule for its worker count; the CLI holds --threads to it."""
+    if not isinstance(threads, Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Average run_drop over the whole sweep grid.
 
     A job is one (M, beta) and one contiguous chunk of drops, run at every
-    axis value; each drop builds a channel per PA count and evaluates it at
-    all of its power levels (see _drop_chunk), which gives the same bits as
-    separate run_drop calls. With min(threads, drops) > 1, one pool of that
-    many worker processes runs the jobs; aggregating in grid and drop order
-    keeps the output independent of the worker count.
+    axis value; each drop builds its users once, a channel on them per PA
+    count, and evaluates each channel at all of its power levels (see
+    _drop_chunk), which gives the same bits as separate run_drop calls.
+    With min(threads, drops) > 1, one pool of that many worker processes
+    runs the jobs; aggregating in grid and drop order keeps the output
+    independent of the worker count.
     """
-    if not isinstance(threads, Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_threads(threads)
     groups = [
         _channels(config, m, beta) for m, beta in product(config.m_values, config.beta_values)
     ]
@@ -452,7 +467,8 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
     """Re-run one drop through run_drop's pipeline and dump its internals as
     plain JSON-ready data: Python numbers, lists and dicts only, whatever
     numpy scalars the scenario or the arguments hold."""
-    channel = _drop_channel(scenario, master_seed, drop_index)
+    drop = _drop_users(scenario, master_seed, drop_index)
+    channel = _drop_channel(scenario, drop, master_seed, drop_index)
     rates, (allocation,) = _drop_rates(scenario, channel, np.array([scenario.tx_power]))
     ofdma, single_pa, sc_fde = rates[0].tolist()
     realization, frame, grid = channel.realization, channel.frame, channel.grid

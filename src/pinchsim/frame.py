@@ -54,15 +54,17 @@ class FrameDesign:
     subcarrier_spacing: float  # Hz
 
     def __post_init__(self):
-        if self.cp_duration < 0:
-            raise ValueError("cp_duration must be >= 0")
-        if self.fft_duration <= 0:
-            raise ValueError("fft_duration must be positive")
+        if not 0 <= self.cp_duration < math.inf:
+            raise ValueError(f"cp_duration must be >= 0 and finite, got {self.cp_duration}")
+        if not 0 < self.fft_duration < math.inf:
+            raise ValueError(f"fft_duration must be positive and finite, got {self.fft_duration}")
         k = self.n_subcarriers
         if k < 1 or (k & (k - 1)) != 0:
             raise ValueError(f"n_subcarriers must be a power of two, got {k}")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier_spacing must be positive")
+        if not 0 < self.subcarrier_spacing < math.inf:
+            raise ValueError(
+                f"subcarrier_spacing must be positive and finite, got {self.subcarrier_spacing}"
+            )
 
     @property
     def cp_efficiency(self) -> float:

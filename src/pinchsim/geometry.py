@@ -160,8 +160,8 @@ def los_probability_matrix(users, pas, blockage_density: float) -> np.ndarray:
     """Probabilities of an unobstructed LoS link, exp(-beta * distance), for
     every user/PA pair, shape (M, N). A product past the float range is
     -inf, whose probability 0 is exact."""
-    if blockage_density < 0:
-        raise ValueError("blockage_density must be >= 0")
+    if not blockage_density >= 0:  # nan is not >= 0; an infinite density blocks every link
+        raise ValueError(f"blockage_density must be >= 0, got {blockage_density}")
     with np.errstate(over="ignore"):
         return np.exp(-blockage_density * distance_matrix(users, pas))
 

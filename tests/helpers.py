@@ -23,7 +23,7 @@ from pinchsim.channel import (
     ChannelRealization,
     path_loss_constant,
 )
-from pinchsim.experiments import _drop_channel, load_config, scenario_for
+from pinchsim.experiments import _drop_channel, _drop_users, load_config, scenario_for
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import Scenario, center_pa_position
 
@@ -311,7 +311,8 @@ def pinned_drop(workload, axis_value, n_users, beta, drop):
     point at the pinned master seed 1, built as the sweep builds it."""
     config = replace(load_config(BENCH_WORKLOADS / f"{workload}.cfg"), master_seed=1)
     scenario = scenario_for(config, axis_value, n_users, beta)
-    channel = _drop_channel(scenario, config.master_seed, drop)
+    drop_users = _drop_users(scenario, config.master_seed, drop)
+    channel = _drop_channel(scenario, drop_users, config.master_seed, drop)
     return channel.tones.gains_sq, channel.frame, scenario
 
 

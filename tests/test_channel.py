@@ -18,7 +18,7 @@ from pinchsim.channel import (
     path_loss_constant,
 )
 from pinchsim.channel import _composite_delays, _link_gains, _waveguide_phases
-from pinchsim.experiments import _drop_channel
+from pinchsim.experiments import _drop_channel, _drop_users
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import (
     Scenario,
@@ -63,8 +63,9 @@ class TestPathLossConstant:
             )
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            path_loss_constant(0.0)
+        for carrier_freq in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="carrier_freq must be positive"):
+                path_loss_constant(carrier_freq)
 
 
 class TestLinkGain:
@@ -427,7 +428,7 @@ class TestGainsSq:
     SCENARIO = Scenario(n_pas=4, n_users=2, bandwidth=20e6)  # drop 1 has K = 8
 
     def test_bits_are_abs_h_squared(self):
-        grid = _drop_channel(self.SCENARIO, 1, 1).grid
+        grid = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1).grid
         assert grid.gains_sq.tobytes() == (np.abs(grid.h) ** 2).tobytes()
 
     @staticmethod
@@ -437,7 +438,7 @@ class TestGainsSq:
 
     def output(self, consumer, grid):
         """The bytes of a consumer's output on grid, on drop 1's frame and links."""
-        channel = _drop_channel(self.SCENARIO, 1, 1)
+        channel = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1)
         args = (channel.frame, self.SCENARIO)
         if consumer == "allocate":
             out = allocate(grid, *args)
@@ -454,7 +455,7 @@ class TestGainsSq:
     def test_grid_consumers_read_only_the_property(self, consumer, monkeypatch):
         """With gains_sq patched to |2 H|^2, a consumer's output on H is its
         output on the grid 2 H, bit for bit."""
-        grid = _drop_channel(self.SCENARIO, 1, 1).grid
+        grid = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1).grid
         plain = self.output(consumer, grid)
         expected = self.output(consumer, ChannelGrid(2.0 * grid.h, grid.subcarrier_freqs))
         assert expected != plain
@@ -463,5 +464,5 @@ class TestGainsSq:
 
     def test_drop_channel_reads_only_the_property(self, monkeypatch):
         monkeypatch.setattr(ChannelGrid, "gains_sq", property(self.doubled))
-        channel = _drop_channel(self.SCENARIO, 1, 1)
+        channel = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1)
         assert channel.tones.gains_sq.tobytes() == self.doubled(channel.grid).tobytes()

@@ -11,7 +11,7 @@ import pytest
 
 import pinchsim
 from pinchsim.cli import main
-from pinchsim.experiments import load_config
+from pinchsim.experiments import load_config, run_sweep
 from pinchsim.geometry import Scenario
 
 
@@ -107,7 +107,10 @@ class TestSimulate:
                 ]
             )
         assert exc.value.code == 2
-        assert "argument --threads: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        with pytest.raises(ValueError) as direct:
+            run_sweep(load_config(tiny_config), threads=int(threads))
+        assert err.splitlines()[-1].partition("argument --threads: ")[2] == str(direct.value)
         assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from pinchsim.experiments import (
     scenario_for,
     trace_drop,
 )
-from pinchsim.experiments import _chunks, _drop_channel, _drop_chunk, _drop_rates
+from pinchsim.experiments import _chunks, _drop_channel, _drop_chunk, _drop_rates, _drop_users
 from pinchsim.geometry import Scenario
 
 from helpers import (
@@ -281,6 +281,48 @@ class TestRunSweep:
         assert len(grids) == 3 * 2 * 2 * 2  # every PA count needs its own channel
         assert len(advantages) == 3 * 2 * 2 * 2
 
+    def test_users_built_once_per_drop_across_pa_counts(self, monkeypatch):
+        """A drop's users, center-PA LoS and single-PA |h|^2 are built once
+        per (M, beta, drop) and read by every PA count; only the layout
+        blockage is drawn per PA count. So the single-PA points are equal
+        across PA counts, bit for bit."""
+        calls = {"sample_users": [], "_center_gains_sq": [], "sample_blockage": []}
+        for name, seen in calls.items():
+            def counting(*args, real=getattr(experiments, name), seen=seen):
+                seen.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(experiments, name, counting)
+        cfg = small_config(axis_values=(2, 3, 4), m_values=(1, 2), beta_values=(0.05, 0.3))
+        result = run_sweep(cfg, threads=1)
+        drops = cfg.drops * 2 * 2  # drops x M x beta
+        assert len(calls["sample_users"]) == drops
+        assert len(calls["_center_gains_sq"]) == drops
+        # sample_blockage(scenario, users, pas, rng): the center PA, then every layout
+        n_pas = sorted(len(args[2]) for args in calls["sample_blockage"])
+        assert n_pas == sorted([1, *cfg.axis_values] * drops)
+        for m, beta in product(cfg.m_values, cfg.beta_values):
+            single = {
+                (p.mean_min_rate.hex(), p.stderr.hex())
+                for p in result.points
+                if p.scheme == "single_pa" and (p.n_users, p.beta) == (m, beta)
+            }
+            assert len(single) == 1
+
+    def test_three_generators_per_drop_on_one_channel(self, monkeypatch):
+        """A power sweep has one channel per drop: it builds each of the
+        drop's three generators once."""
+        purposes = []
+
+        def counting(master_seed, drop_index, purpose, real=experiments._drop_rng):
+            purposes.append((drop_index, purpose))
+            return real(master_seed, drop_index, purpose)
+
+        monkeypatch.setattr(experiments, "_drop_rng", counting)
+        cfg = small_config(axis="tx_power", axis_values=(0.0, 10.0, 20.0))
+        run_sweep(cfg, threads=1)
+        assert sorted(purposes) == [(d, p) for d in range(cfg.drops) for p in range(3)]
+
     def test_point_count_and_order(self):
         cfg = small_config(axis_values=(2, 3), m_values=(1, 2), beta_values=(0.05, 0.1))
         result = run_sweep(cfg)
@@ -436,7 +478,7 @@ def test_rates_half_equals_per_user_reference_on_real_drops(
     water-filling and rate sum per user, and one scalar baseline rate per
     user."""
     scenario = Scenario(n_pas=n_pas, n_users=m, blockage_density=beta, bandwidth=bandwidth)
-    channel = _drop_channel(scenario, seed, drop)
+    channel = _drop_channel(scenario, _drop_users(scenario, seed, drop), seed, drop)
     dbms = (-10.0, 0.0, 10.0, 20.0, 30.0)
     rates, allocations = _drop_rates(scenario, channel, np.array([dbm_to_watts(p) for p in dbms]))
     assert rates.shape == (len(dbms), len(SCHEMES)) and len(allocations) == len(dbms)
@@ -672,7 +714,8 @@ class TestTraceDrop:
         sc = Scenario(n_pas=n_pas, n_users=n_users, bandwidth=bandwidth)
         for drop in range(3):
             got = trace_drop(sc, 5, drop)["grid_summary"]["per_user_abs"]
-            want = reference_per_user_abs(_drop_channel(sc, 5, drop).grid.h)
+            channel = _drop_channel(sc, _drop_users(sc, 5, drop), 5, drop)
+            want = reference_per_user_abs(channel.grid.h)
             assert [{k: v.hex() for k, v in row.items()} for row in got] == [
                 {k: v.hex() for k, v in row.items()} for row in want
             ]

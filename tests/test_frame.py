@@ -37,8 +37,9 @@ class TestFrameDesignType:
             FrameDesign(0.0, 1e-7, 48, 1e7)
 
     def test_rejects_negative_cp(self):
-        with pytest.raises(ValueError):
-            FrameDesign(-1e-9, 1e-7, 64, 1e7)
+        for cp in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cp_duration must be >= 0"):
+                FrameDesign(cp, 1e-7, 64, 1e7)
 
     @pytest.mark.parametrize(
         "fft_duration, spacing, message",
@@ -46,6 +47,10 @@ class TestFrameDesignType:
             (0.0, 1e7, "fft_duration"),
             (-1e-7, 1e7, "fft_duration"),
             (1e-7, 0.0, "subcarrier_spacing"),
+            (math.nan, 1e7, "fft_duration"),
+            (math.inf, 1e7, "fft_duration"),
+            (1e-7, math.nan, "subcarrier_spacing"),
+            (1e-7, math.inf, "subcarrier_spacing"),
         ],
     )
     def test_rejects_nonpositive_duration_or_spacing(self, fft_duration, spacing, message):

@@ -182,8 +182,9 @@ class TestLosProbability:
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            los_probability_matrix((0, 0, 0), (1, 0, 0), -0.1)
+        for beta in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="blockage_density must be >= 0"):
+                los_probability_matrix((0, 0, 0), (1, 0, 0), beta)
 
     def test_beta_times_distance_past_the_float_range_is_exactly_zero(self):
         # -1e307 * 30 overflows to -inf, and exp(-inf) = 0, without a warning
