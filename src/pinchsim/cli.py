@@ -9,8 +9,9 @@ Subcommands:
 A flag that sets an ExperimentConfig field stores under that field's name,
 so the config is the file (or the defaults) with every given flag replacing
 its field. Its value meets that field's own check (trace-drop's scenario
-flags meet Scenario's, --threads run_sweep's), so it fails in the words a
-config file's would. A bad flag, config file or output path is a usage error
+flags meet Scenario's, --threads run_sweep's, --index trace_drop's), so it
+fails in the words a config file's or the library's would; no flag has a
+rule of its own. A bad flag, config file or output path is a usage error
 (exit 2) before the first drop runs; a write that fails anyway ends in one
 error line (exit 1).
 """
@@ -25,7 +26,6 @@ from dataclasses import fields, replace
 
 from .experiments import (
     ExperimentConfig,
-    _check_threads,
     _write,
     emit_csv,
     emit_json,
@@ -34,25 +34,19 @@ from .experiments import (
     scenario_for,
     trace_drop,
 )
-from .geometry import Scenario
+from .geometry import Scenario, _check_ints
 
 __all__ = ["main"]
 
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _checked(name: str, item, cls=ExperimentConfig, **context):
     """Argument type of cls's field name: one item value, or comma-separated
     ones where the field's default is a tuple, held to cls's own check of the
     field with the other fields at their defaults or set by context. cls is a
-    class or a check that takes the field as a keyword, as _check_threads."""
+    class or a check that takes the field as a keyword, as _check_ints with
+    its least given by context."""
 
     def check(text: str):
         if isinstance(getattr(cls, name, None), tuple):
@@ -133,7 +127,7 @@ def _sweep_parser(sub, name: str, summary: str, axis: str | None = None):
     )
     p.add_argument("--drops", type=_checked("drops", int), help="Monte Carlo drops override")
     p.add_argument(
-        "--threads", type=_checked("threads", int, _check_threads), default=1,
+        "--threads", type=_checked("threads", int, _check_ints, least=1), default=1,
         help="worker processes, >= 1",
     )
     if axis:
@@ -179,7 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", dest="master_seed", metavar="SEED", type=_checked("master_seed", int),
         required=True, help="master seed",
     )
-    p_t.add_argument("--index", type=_nonnegative_int, required=True, help="drop index")
+    p_t.add_argument(
+        "--index", type=_checked("drop_index", int, _check_ints, least=0), required=True,
+        help="drop index",
+    )
     p_t.add_argument("--config", help="config file for scenario constants")
     p_t.add_argument("--n-pas", type=_checked("n_pas", int, Scenario, n_users=1), default=10)
     p_t.add_argument("--n-users", type=_checked("n_users", int, Scenario, n_pas=1), default=2)

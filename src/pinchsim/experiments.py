@@ -26,7 +26,6 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import product
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +36,7 @@ from .channel import ChannelGrid, ChannelRealization, build_realization, channel
 from .frame import FrameDesign, design_frame
 from .geometry import (
     Scenario,
+    _check_ints,
     center_pa_position,
     pa_positions,
     sample_blockage,
@@ -109,20 +109,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.axis not in ("pa_count", "tx_power"):
             raise ValueError(f"axis must be pa_count or tx_power, got {self.axis!r}")
-        for name, values in (
-            ("drops", [self.drops]), ("master_seed", [self.master_seed]),
-            ("pa_count", [self.pa_count]), ("m_values", self.m_values),
-        ):
-            if not all(isinstance(v, Integral) for v in values):
-                raise ValueError(f"{name} must be of integer type, got {getattr(self, name)!r}")
-        if self.drops < 1:
-            raise ValueError("drops must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        _check_ints(1, drops=self.drops, pa_count=self.pa_count, m_values=self.m_values)
+        _check_ints(0, master_seed=self.master_seed)
         for name in ("axis_values", "m_values", "beta_values"):
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be nonempty")
+            if any(isinstance(v, (bool, np.bool_)) for v in values):
+                raise ValueError(f"{name} must hold numbers, not bools, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicate entries: {values}")
         if self.axis == "tx_power" and not all(map(_usable_dbm, self.axis_values)):
@@ -132,8 +126,6 @@ class ExperimentConfig:
             )
         if list(self.axis_values) != sorted(self.axis_values):
             raise ValueError("axis_values must be sorted ascending")
-        if any(m < 1 for m in self.m_values):
-            raise ValueError(f"m_values must be >= 1, got {self.m_values}")
         if not all(0 <= beta < math.inf for beta in self.beta_values):
             raise ValueError(f"beta_values must be >= 0 and finite, got {self.beta_values}")
         if self.axis == "pa_count" and not all(
@@ -142,8 +134,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"axis_values: PA counts must be integers >= 1, got {self.axis_values}"
             )
-        if self.pa_count < 1:
-            raise ValueError(f"pa_count must be >= 1, got {self.pa_count}")
         for name in ("noise_dbm", "tx_power_dbm"):
             value = getattr(self, name)
             if not _usable_dbm(value):
@@ -179,6 +169,7 @@ def _drop_rng(master_seed: int, drop_index: int, purpose: int) -> np.random.Gene
 
 def drop_rngs(master_seed: int, drop_index: int):
     """_drop_rng's generators of a drop's user positions, layout and center-PA blockage."""
+    _check_ints(0, master_seed=master_seed, drop_index=drop_index)
     streams = (_STREAM_USERS, _STREAM_BLOCKAGE, _STREAM_CENTER_BLOCKAGE)
     return tuple(_drop_rng(master_seed, drop_index, purpose) for purpose in streams)
 
@@ -233,6 +224,7 @@ def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
     Returns (ofdma, single_pa, sc_fde) in bits/s. A drop where every scheme
     lands at zero (total blockage) is a valid data point.
     """
+    _check_ints(0, master_seed=master_seed, drop_index=drop_index)
     channels = [(scenario, np.array([scenario.tx_power]))]
     return tuple(_drop_chunk(channels, master_seed, drop_index, drop_index + 1)[0][0].tolist())
 
@@ -302,12 +294,6 @@ def _channels(config: ExperimentConfig, n_users: int, beta: float) -> list:
     return [(s, np.array([s.tx_power])) for s in scenarios]
 
 
-def _check_threads(threads) -> None:
-    """run_sweep's rule for its worker count; the CLI holds --threads to it."""
-    if not isinstance(threads, Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-
-
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Average run_drop over the whole sweep grid.
 
@@ -319,7 +305,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     runs the jobs; aggregating in grid and drop order keeps the output
     independent of the worker count.
     """
-    _check_threads(threads)
+    _check_ints(1, threads=threads)
     groups = [
         _channels(config, m, beta) for m, beta in product(config.m_values, config.beta_values)
     ]
@@ -467,6 +453,7 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
     """Re-run one drop through run_drop's pipeline and dump its internals as
     plain JSON-ready data: Python numbers, lists and dicts only, whatever
     numpy scalars the scenario or the arguments hold."""
+    _check_ints(0, master_seed=master_seed, drop_index=drop_index)
     drop = _drop_users(scenario, master_seed, drop_index)
     channel = _drop_channel(scenario, drop, master_seed, drop_index)
     rates, (allocation,) = _drop_rates(scenario, channel, np.array([scenario.tx_power]))

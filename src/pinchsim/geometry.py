@@ -44,6 +44,18 @@ def distance_matrix(a, b) -> np.ndarray:
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
+def _check_ints(least: int, **values) -> None:
+    """The one rule of every count, seed and index: each keyword's value, or
+    each entry of a tuple (or list) value, is an int or a numpy integer, not
+    a bool, and >= least. The message starts with the keyword."""
+    for name, value in values.items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in items):
+            raise ValueError(f"{name} must be of integer type, got {value!r}")
+        if any(v < least for v in items):
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable description of room, waveguide, PAs, users, carrier and noise.
@@ -102,12 +114,7 @@ class Scenario:
             raise ValueError(
                 f"blockage_density must be finite and >= 0, got {self.blockage_density}"
             )
-        for name in ("n_pas", "n_users"):
-            value = getattr(self, name)
-            if not 1 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 1, got {value}")
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be of integer type, got {value!r}")
+        _check_ints(1, n_pas=self.n_pas, n_users=self.n_users)
 
     @property
     def noise_psd(self) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 import pinchsim
 from pinchsim.cli import main
-from pinchsim.experiments import load_config, run_sweep
+from pinchsim.experiments import load_config, run_sweep, trace_drop
 from pinchsim.geometry import Scenario
 
 
@@ -201,6 +201,17 @@ class TestTraceDrop:
         )
         trace = json.loads(out.read_text())
         assert trace["allocation"]["min_rate_bps"] >= 0.0
+
+    def test_negative_index_rejected_in_the_library_words(self, tmp_path, capsys, no_drops):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["trace-drop", "--seed", "1", "--index", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(ValueError) as direct:
+            trace_drop(Scenario(n_pas=10, n_users=2), 1, -1)
+        assert err.splitlines()[-1].partition("argument --index: ")[2] == str(direct.value)
+        assert not out.exists()
 
     def test_config_constants_respected(self, tiny_config, capsys):
         main(

@@ -19,6 +19,7 @@ from pinchsim.experiments import (
     SweepPoint,
     SweepResult,
     dbm_to_watts,
+    drop_rngs,
     emit_csv,
     emit_json,
     load_config,
@@ -128,6 +129,14 @@ class TestExperimentConfig:
                 "transmit powers must be finite, with finite watts > 0",
             ),
             (dict(axis="tx_power", axis_values=(0.0, 4000.0)), "transmit powers must be finite"),
+            # a bool is no number of any list, although True == 1
+            (dict(beta_values=(True,)), "beta_values must hold numbers, not bools"),
+            (dict(beta_values=(0.05, np.True_)), "beta_values must hold numbers, not bools"),
+            (dict(axis_values=(True, 5)), "axis_values must hold numbers, not bools"),
+            (
+                dict(axis="tx_power", axis_values=(False, 5.0)),
+                "axis_values must hold numbers, not bools",
+            ),
         ],
     )
     def test_rejects_invalid_values(self, kw, message):
@@ -142,9 +151,12 @@ class TestExperimentConfig:
         ids=lambda kw: next(iter(kw)),
     )
     def test_rejects_non_integer_counts_and_seeds(self, kw):
-        (name,) = kw
-        with pytest.raises(ValueError, match=f"{name} must be of integer type"):
-            ExperimentConfig(**kw)
+        """A float and a bool are rejected by type, although True == 1."""
+        ((name, value),) = kw.items()
+        boolean = (2, True) if isinstance(value, tuple) else True
+        for bad in (value, boolean):
+            with pytest.raises(ValueError, match=f"{name} must be of integer type"):
+                ExperimentConfig(**{name: bad})
 
     def test_numpy_integers_and_integral_pa_counts_pass(self):
         cfg = ExperimentConfig(
@@ -194,6 +206,22 @@ class TestRunDrop:
     def test_different_drops_differ(self):
         sc = Scenario(n_pas=3, n_users=2)
         assert run_drop(sc, 5, 0) != run_drop(sc, 5, 1)
+
+
+@pytest.mark.parametrize("entry", [run_drop, trace_drop, drop_rngs], ids=lambda f: f.__name__)
+def test_drop_entries_reject_bad_seeds_and_indices(entry):
+    """Each public drop entry holds its seed and index to the config's rule,
+    so a bad one fails naming the argument, not inside numpy's seeding."""
+    head = () if entry is drop_rngs else (Scenario(n_pas=2, n_users=1),)
+    for seed, index, message in (
+        (1, -1, "drop_index must be >= 0, got -1"),
+        (1, True, "drop_index must be of integer type, got True"),
+        (1, 1.5, "drop_index must be of integer type, got 1.5"),
+        (-1, 0, "master_seed must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            entry(*head, seed, index)
+        assert str(exc.value) == message
 
 
 def failing_drop_chunk(channels, master_seed, start, stop):
@@ -249,10 +277,13 @@ class TestRunSweep:
             run_sweep(small_config(drops=2), threads=2)
         assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
-    @pytest.mark.parametrize("threads", [0, -1, 2.5, 1.0, "2"])
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, 1.0, "2", True])
     def test_bad_thread_count_is_an_error(self, threads, monkeypatch):
         monkeypatch.setattr(experiments, "_drop_chunk", failing_drop_chunk)
-        message = f"threads must be an integer >= 1, got {threads!r}"
+        if type(threads) is int:
+            message = f"threads must be >= 1, got {threads}"
+        else:
+            message = f"threads must be of integer type, got {threads!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_sweep(small_config(drops=2), threads=threads)
 

@@ -64,8 +64,9 @@ class TestScenario:
 
     @pytest.mark.parametrize("name", ["n_pas", "n_users"])
     def test_rejects_non_integer_counts(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be of integer type"):
-            make_scenario(**{name: 2.5})
+        for value in (2.5, True):  # True == 1, but it is no count
+            with pytest.raises(ValueError, match=f"{name} must be of integer type"):
+                make_scenario(**{name: value})
 
     def test_numpy_integer_counts_pass(self):
         sc = make_scenario(n_pas=np.int64(3), n_users=np.int32(2))
