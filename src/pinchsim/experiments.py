@@ -8,16 +8,20 @@ reused across axis values: common random numbers, which makes monotonicity
 comparisons across transmit power and blockage density meaningful and the
 doubled-drop run an extension of the shorter one.
 
-A sweep's unit of work is one (user count, blockage density) and one
-contiguous chunk of drops, run at every axis value. A drop's users, their
-center-PA LoS and the single-PA |h|^2 read no PA count, so they are built
-once per (M, beta, drop) and shared by every PA count; the single-PA
+One function, _drop, builds every drop: the sweep's, run_drop's and
+trace_drop's. It takes the (scenario, tx_powers) channels of one (user
+count, blockage density), one per PA count, and returns one DropRecord per
+channel. A drop's users, their center-PA LoS and the single-PA |h|^2 read no
+PA count, so they are built once and shared by every channel; the single-PA
 minimum reads only them and the power, so it is equal across PA counts.
-Only the allocation and the TDMA baselines read the power, so a drop builds
-one channel (layout blockage, taps, frame, grid, and the power-free terms of
-the rates) per PA count and evaluates all its power levels as array rows;
-the bits are those of separate run_drop calls. Parallel sweeps run these
-jobs in worker processes, byte-identical for any count.
+Only the allocation and the TDMA baselines read the power, so each channel
+(layout blockage, taps, frame, grid, |H|^2 and tone orders) is built once
+and evaluates all its power levels as array rows; the bits are those of
+separate run_drop calls.
+
+A sweep's unit of work is one (user count, blockage density) and one
+contiguous chunk of drops, run at every axis value. Parallel sweeps run
+these jobs in worker processes, byte-identical for any count.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alloc import ToneTerms, _allocate_levels, _tone_terms, min_rate
+from .alloc import _allocate_levels, _tone_terms, min_rate
 from .baselines import _center_gains_sq, _tdma_min_rates
 from .channel import ChannelGrid, ChannelRealization, build_realization, channel_grid
 from .frame import FrameDesign, design_frame
@@ -145,9 +149,12 @@ class ExperimentConfig:
 
 
 def scenario_for(config: ExperimentConfig, axis_value, n_users: int, beta: float) -> Scenario:
-    """Scenario of one grid point."""
+    """Scenario of one grid point. A PA count that is an integral float
+    becomes an int; any other value goes to Scenario's own check as is."""
     if config.axis == "pa_count":
-        n_pas = int(axis_value)
+        n_pas = axis_value
+        if isinstance(n_pas, (float, np.floating)) and n_pas.is_integer():
+            n_pas = int(n_pas)
         tx_power = dbm_to_watts(config.tx_power_dbm)
     else:
         n_pas = config.pa_count
@@ -174,48 +181,45 @@ def drop_rngs(master_seed: int, drop_index: int):
     return tuple(_drop_rng(master_seed, drop_index, purpose) for purpose in streams)
 
 
-def _drop_users(scenario: Scenario, master_seed: int, drop_index: int) -> tuple:
-    """A drop's users, center-PA LoS and single-PA |h|^2: none reads the PA count or power."""
-    users = sample_users(scenario, _drop_rng(master_seed, drop_index, _STREAM_USERS))
-    rng_center = _drop_rng(master_seed, drop_index, _STREAM_CENTER_BLOCKAGE)
-    alpha = sample_blockage(scenario, users, [center_pa_position(scenario)], rng_center)[:, 0]
-    return users, alpha, _center_gains_sq(users, alpha, scenario)
-
-
-class DropChannel(NamedTuple):
-    """The power-free half of a drop, built by _drop_channel."""
+class DropRecord(NamedTuple):
+    """One channel of a drop, built by _drop."""
 
     realization: ChannelRealization
     frame: FrameDesign
     grid: ChannelGrid
     center_alpha: np.ndarray  # (M,) LoS toward the single-PA baseline's PA
-    tones: ToneTerms  # its gains_sq is also the SC-FDE baseline's |H|^2
-    center_sq: np.ndarray  # (M,) single-PA |h|^2
+    rates: np.ndarray  # (L, 3) run_drop's minima at the channel's L power levels
+    allocations: list  # the L allocations, in the order of the levels
 
 
-def _drop_channel(scenario: Scenario, drop, master_seed: int, drop_index: int) -> DropChannel:
-    """The power-free half of a drop on the users of _drop_users: layout
-    blockage, taps, frame, grid and the power-free terms of the rates. None
-    of these reads tx_power, so one channel serves every power level."""
-    users, center_alpha, center_sq = drop
-    rng_block = _drop_rng(master_seed, drop_index, _STREAM_BLOCKAGE)
-    los = sample_blockage(scenario, users, pa_positions(scenario), rng_block)
-    realization = build_realization(scenario, users, los)
-    frame = design_frame(scenario, realization)
-    grid = channel_grid(realization, frame)
-    tones = _tone_terms(grid.gains_sq)
-    return DropChannel(realization, frame, grid, center_alpha, tones, center_sq)
+def _drop(channels: list, master_seed: int, drop_index: int) -> list[DropRecord]:
+    """One drop on the (scenario, tx_powers) channels of one (M, beta), with
+    tx_powers an (L,) array in watts: one DropRecord per channel.
 
-
-def _drop_rates(scenario: Scenario, channel: DropChannel, tx_powers):
-    """The rates half of a drop on a channel from _drop_channel, at an (L,)
-    array of tx_powers in watts: run_drop's minima as (L, 3), and the L allocations."""
-    allocations = _allocate_levels(channel.tones, channel.frame, scenario, tx_powers)
-    single_pa, sc_fde = _tdma_min_rates(
-        channel.center_sq, channel.tones.gains_sq, channel.frame, scenario, tx_powers
-    )
-    ofdma = [min_rate(allocation) for allocation in allocations]
-    return np.array([ofdma, single_pa, sc_fde]).T, allocations
+    The users, their center-PA LoS and the single-PA |h|^2 read no PA count
+    or power, so they are built once, from the first channel's scenario, and
+    shared by every channel. A channel's layout blockage, taps, frame, grid
+    and tone orders read no power either, so one channel serves all its
+    power levels as array rows of the allocation and the TDMA baselines."""
+    scenario = channels[0][0]
+    users = sample_users(scenario, _drop_rng(master_seed, drop_index, _STREAM_USERS))
+    rng_center = _drop_rng(master_seed, drop_index, _STREAM_CENTER_BLOCKAGE)
+    alpha = sample_blockage(scenario, users, [center_pa_position(scenario)], rng_center)[:, 0]
+    center_sq = _center_gains_sq(users, alpha, scenario)
+    records = []
+    for scenario, tx_powers in channels:
+        rng_block = _drop_rng(master_seed, drop_index, _STREAM_BLOCKAGE)
+        los = sample_blockage(scenario, users, pa_positions(scenario), rng_block)
+        realization = build_realization(scenario, users, los)
+        frame = design_frame(scenario, realization)
+        grid = channel_grid(realization, frame)
+        tones = _tone_terms(grid.gains_sq)
+        allocations = _allocate_levels(tones, frame, scenario, tx_powers)
+        single_pa, sc_fde = _tdma_min_rates(center_sq, tones.gains_sq, frame, scenario, tx_powers)
+        ofdma = [min_rate(allocation) for allocation in allocations]
+        rates = np.array([ofdma, single_pa, sc_fde]).T
+        records.append(DropRecord(realization, frame, grid, alpha, rates, allocations))
+    return records
 
 
 def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
@@ -225,8 +229,8 @@ def run_drop(scenario: Scenario, master_seed: int, drop_index: int):
     lands at zero (total blockage) is a valid data point.
     """
     _check_ints(0, master_seed=master_seed, drop_index=drop_index)
-    channels = [(scenario, np.array([scenario.tx_power]))]
-    return tuple(_drop_chunk(channels, master_seed, drop_index, drop_index + 1)[0][0].tolist())
+    (record,) = _drop([(scenario, np.array([scenario.tx_power]))], master_seed, drop_index)
+    return tuple(record.rates[0].tolist())
 
 
 @dataclass
@@ -272,17 +276,13 @@ def _chunks(drops: int, workers: int) -> list[tuple[int, int]]:
 def _drop_chunk(channels: list, master_seed: int, start: int, stop: int):
     """Drops start..stop-1 on the (scenario, tx_powers) channels of one
     (M, beta): per drop, run_drop's (ofdma, single_pa, sc_fde) at every axis
-    value as an (axis values, 3) array. A drop's users, center-PA LoS and
-    single-PA |h|^2 are built once and shared by all its channels, so its
-    single-PA minimum is equal across PA counts by construction."""
-    rows = []
-    for d in range(start, stop):
-        drop = _drop_users(channels[0][0], master_seed, d)
-        rows.append(np.concatenate([
-            _drop_rates(scenario, _drop_channel(scenario, drop, master_seed, d), tx_powers)[0]
-            for scenario, tx_powers in channels
-        ]))
-    return rows
+    value as an (axis values, 3) array. A drop's users are shared by all its
+    channels (see _drop), so its single-PA minimum is equal across PA counts
+    by construction."""
+    return [
+        np.concatenate([record.rates for record in _drop(channels, master_seed, d)])
+        for d in range(start, stop)
+    ]
 
 
 def _channels(config: ExperimentConfig, n_users: int, beta: float) -> list:
@@ -300,7 +300,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     A job is one (M, beta) and one contiguous chunk of drops, run at every
     axis value; each drop builds its users once, a channel on them per PA
     count, and evaluates each channel at all of its power levels (see
-    _drop_chunk), which gives the same bits as separate run_drop calls.
+    _drop), which gives the same bits as separate run_drop calls.
     With min(threads, drops) > 1, one pool of that many worker processes
     runs the jobs; aggregating in grid and drop order keeps the output
     independent of the worker count.
@@ -450,15 +450,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
-    """Re-run one drop through run_drop's pipeline and dump its internals as
-    plain JSON-ready data: Python numbers, lists and dicts only, whatever
-    numpy scalars the scenario or the arguments hold."""
+    """Re-run one drop through _drop, as run_drop does, and dump its
+    internals as plain JSON-ready data: Python numbers, lists and dicts
+    only, whatever numpy scalars the scenario or the arguments hold."""
     _check_ints(0, master_seed=master_seed, drop_index=drop_index)
-    drop = _drop_users(scenario, master_seed, drop_index)
-    channel = _drop_channel(scenario, drop, master_seed, drop_index)
-    rates, (allocation,) = _drop_rates(scenario, channel, np.array([scenario.tx_power]))
+    (record,) = _drop([(scenario, np.array([scenario.tx_power]))], master_seed, drop_index)
+    realization, frame, grid, center_alpha, rates, (allocation,) = record
     ofdma, single_pa, sc_fde = rates[0].tolist()
-    realization, frame, grid = channel.realization, channel.frame, channel.grid
     magnitudes = np.abs(grid.h)
     return {
         "master_seed": _plain(master_seed),
@@ -498,5 +496,5 @@ def trace_drop(scenario: Scenario, master_seed: int, drop_index: int) -> dict:
             "min_rate_bps": ofdma,
         },
         "baseline_min_rates_bps": {"single_pa": single_pa, "sc_fde": sc_fde},
-        "center_pa_alpha": channel.center_alpha.tolist(),
+        "center_pa_alpha": center_alpha.tolist(),
     }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchsim.alloc import allocate, exhaustive_oracle
+from pinchsim.alloc import allocate, exhaustive_oracle, min_rate
 from pinchsim.baselines import baseline_min_rates
 from pinchsim.channel import (
     SPEED_OF_LIGHT,
@@ -18,7 +18,7 @@ from pinchsim.channel import (
     path_loss_constant,
 )
 from pinchsim.channel import _composite_delays, _link_gains, _waveguide_phases
-from pinchsim.experiments import _drop_channel, _drop_users
+from pinchsim.experiments import _drop
 from pinchsim.frame import FrameDesign
 from pinchsim.geometry import (
     Scenario,
@@ -427,8 +427,13 @@ class TestGainsSq:
 
     SCENARIO = Scenario(n_pas=4, n_users=2, bandwidth=20e6)  # drop 1 has K = 8
 
+    def record(self):
+        """Drop 1 of seed 1 on SCENARIO, as run_drop builds it."""
+        (record,) = _drop([(self.SCENARIO, np.array([self.SCENARIO.tx_power]))], 1, 1)
+        return record
+
     def test_bits_are_abs_h_squared(self):
-        grid = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1).grid
+        grid = self.record().grid
         assert grid.gains_sq.tobytes() == (np.abs(grid.h) ** 2).tobytes()
 
     @staticmethod
@@ -438,13 +443,13 @@ class TestGainsSq:
 
     def output(self, consumer, grid):
         """The bytes of a consumer's output on grid, on drop 1's frame and links."""
-        channel = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1)
-        args = (channel.frame, self.SCENARIO)
+        record = self.record()
+        args = (record.frame, self.SCENARIO)
         if consumer == "allocate":
             out = allocate(grid, *args)
             parts = (out.assignment, out.power, out.rates, out.unusable_budget)
         elif consumer == "baseline_min_rates":
-            rates = baseline_min_rates(channel.realization, grid, *args, channel.center_alpha)
+            rates = baseline_min_rates(record.realization, grid, *args, record.center_alpha)
             parts = (np.array(rates),)
         else:
             best, value = exhaustive_oracle(grid, *args)
@@ -455,7 +460,7 @@ class TestGainsSq:
     def test_grid_consumers_read_only_the_property(self, consumer, monkeypatch):
         """With gains_sq patched to |2 H|^2, a consumer's output on H is its
         output on the grid 2 H, bit for bit."""
-        grid = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1).grid
+        grid = self.record().grid
         plain = self.output(consumer, grid)
         expected = self.output(consumer, ChannelGrid(2.0 * grid.h, grid.subcarrier_freqs))
         assert expected != plain
@@ -463,6 +468,16 @@ class TestGainsSq:
         assert self.output(consumer, grid) == expected
 
     def test_drop_channel_reads_only_the_property(self, monkeypatch):
+        """With gains_sq patched to |2 H|^2, _drop's OFDMA and SC-FDE minima
+        are those of allocate and baseline_min_rates on the grid 2 H, bit for
+        bit."""
+        record = self.record()
+        grid = ChannelGrid(2.0 * record.grid.h, record.grid.subcarrier_freqs)
+        args = (record.frame, self.SCENARIO)
+        _, sc_fde = baseline_min_rates(record.realization, grid, *args, record.center_alpha)
+        expected = [min_rate(allocate(grid, *args)).hex(), sc_fde.hex()]
+        plain = record.rates[0, [0, 2]].tolist()
+        assert [rate.hex() for rate in plain] != expected
         monkeypatch.setattr(ChannelGrid, "gains_sq", property(self.doubled))
-        channel = _drop_channel(self.SCENARIO, _drop_users(self.SCENARIO, 1, 1), 1, 1)
-        assert channel.tones.gains_sq.tobytes() == self.doubled(channel.grid).tobytes()
+        got = self.record().rates[0, [0, 2]].tolist()
+        assert [rate.hex() for rate in got] == expected

@@ -28,7 +28,7 @@ from pinchsim.experiments import (
     scenario_for,
     trace_drop,
 )
-from pinchsim.experiments import _chunks, _drop_channel, _drop_chunk, _drop_rates, _drop_users
+from pinchsim.experiments import _channels, _chunks, _drop, _drop_chunk
 from pinchsim.geometry import Scenario
 
 from helpers import (
@@ -179,6 +179,15 @@ class TestScenarioFor:
         assert sc.n_pas == 7 and sc.n_users == 4
         assert sc.tx_power == pytest.approx(0.01, rel=1e-12)
         assert sc.blockage_density == 0.15
+
+    @pytest.mark.parametrize("value", [2.5, True, "7"])
+    def test_pa_count_is_not_truncated(self, value):
+        with pytest.raises(ValueError, match="n_pas must be of integer type"):
+            scenario_for(small_config(), value, 2, 0.05)
+
+    @pytest.mark.parametrize("value", [4.0, np.float32(4.0), np.int64(4)])
+    def test_integral_pa_count_gives_the_count(self, value):
+        assert scenario_for(small_config(), value, 2, 0.05).n_pas == 4
 
 
 class TestRunDrop:
@@ -442,6 +451,36 @@ def test_drop_major_sweep_equals_per_point_drops(
             assert point.stderr.hex() == float(stderrs[s]).hex()
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    axis=st.sampled_from(["tx_power", "pa_count"]),
+    picks=st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True).map(sorted),
+    m=st.integers(1, 8),
+    beta=st.sampled_from([0.0, 0.05, 0.5]),
+    pa_count=st.integers(1, 40),
+    tx_power_dbm=st.sampled_from([-10.0, 20.0, 43.0]),
+    bandwidth=st.sampled_from([20e6, 500e6]),
+)
+def test_channels_of_a_group_differ_only_in_pa_count_and_power(
+    axis, picks, m, beta, pa_count, tx_power_dbm, bandwidth
+):
+    """_drop builds a drop's users from its first channel's scenario and
+    shares them with every channel: each scenario of one (M, beta) is the
+    first with only n_pas and tx_power replaced, and the channels' power
+    levels are the axis values' in axis order."""
+    values = tuple(picks) if axis == "pa_count" else tuple(p - 20.0 for p in picks)
+    cfg = small_config(
+        axis=axis, axis_values=values, m_values=(m,), beta_values=(beta,),
+        pa_count=pa_count, tx_power_dbm=tx_power_dbm, bandwidth=bandwidth,
+    )
+    channels = _channels(cfg, m, beta)
+    first = channels[0][0]
+    for scenario, _ in channels:
+        assert scenario == replace(first, n_pas=scenario.n_pas, tx_power=scenario.tx_power)
+    levels = np.concatenate([tx_powers for _, tx_powers in channels]).tolist()
+    assert levels == [scenario_for(cfg, value, m, beta).tx_power for value in values]
+
+
 def _assert_sweep_stats(result, cfg, mats):
     """Every point's mean and stderr have the bits of reference_sweep_stats
     over its (drops, 3) matrix; mats maps (M, beta, axis value) to it."""
@@ -509,17 +548,17 @@ def test_rates_half_equals_per_user_reference_on_real_drops(
     water-filling and rate sum per user, and one scalar baseline rate per
     user."""
     scenario = Scenario(n_pas=n_pas, n_users=m, blockage_density=beta, bandwidth=bandwidth)
-    channel = _drop_channel(scenario, _drop_users(scenario, seed, drop), seed, drop)
     dbms = (-10.0, 0.0, 10.0, 20.0, 30.0)
-    rates, allocations = _drop_rates(scenario, channel, np.array([dbm_to_watts(p) for p in dbms]))
+    (record,) = _drop([(scenario, np.array([dbm_to_watts(p) for p in dbms]))], seed, drop)
+    rates, allocations = record.rates, record.allocations
     assert rates.shape == (len(dbms), len(SCHEMES)) and len(allocations) == len(dbms)
     for dbm, (ofdma, single_pa, sc_fde), allocation in zip(dbms, rates.tolist(), allocations):
         sc = replace(scenario, tx_power=dbm_to_watts(dbm))
-        want = reference_allocate(channel.grid, channel.frame, sc)
+        want = reference_allocate(record.grid, record.frame, sc)
         assert np.array_equal(allocation.power.view(np.uint64), want.power.view(np.uint64))
         assert ofdma.hex() == min_rate(want).hex()
         want_single, want_sc_fde = reference_baseline_min_rates(
-            channel.realization, channel.grid, channel.frame, sc, channel.center_alpha
+            record.realization, record.grid, record.frame, sc, record.center_alpha
         )
         assert single_pa.hex() == want_single.hex()
         assert sc_fde.hex() == want_sc_fde.hex()
@@ -745,8 +784,8 @@ class TestTraceDrop:
         sc = Scenario(n_pas=n_pas, n_users=n_users, bandwidth=bandwidth)
         for drop in range(3):
             got = trace_drop(sc, 5, drop)["grid_summary"]["per_user_abs"]
-            channel = _drop_channel(sc, _drop_users(sc, 5, drop), 5, drop)
-            want = reference_per_user_abs(channel.grid.h)
+            (record,) = _drop([(sc, np.array([sc.tx_power]))], 5, drop)
+            want = reference_per_user_abs(record.grid.h)
             assert [{k: v.hex() for k, v in row.items()} for row in got] == [
                 {k: v.hex() for k, v in row.items()} for row in want
             ]
